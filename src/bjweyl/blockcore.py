@@ -22,7 +22,6 @@ __all__ = [
     "ParamsError",
     "validate_params",
     "matrix_functionals",
-    "embed_first_column",
     "apply_formal",
     "cyclic_block_product",
     "make_family",
@@ -34,7 +33,12 @@ SINGULAR_TOL = 1e-10
 
 
 class ParamsError(ValueError):
-    """Raised when block data violates the invertibility/Hermitianity rules."""
+    """Raised when block data violates the invertibility/Hermitianity rules;
+    ``violations`` holds the offending pair's records as validate_params reports them."""
+
+    def __init__(self, message: str, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 def _as_block(a, d: int) -> np.ndarray:
@@ -47,16 +51,17 @@ def _as_block(a, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockVecSeq:
-    """A finite sequence of C^d vectors starting at index -1 or 0."""
+class _BlockSeq:
+    """A finite sequence of terms of one shape starting at index -1 or 0."""
 
-    terms: np.ndarray  # shape (n_terms, d)
+    terms: np.ndarray  # shape (n_terms, d) or (n_terms, d, d)
     start: int = 0
+    _term_ndim = 1  # axes of one term; a class constant, not a field
 
     def __post_init__(self):
         t = np.asarray(self.terms, dtype=complex)
-        if t.ndim != 2:
-            raise ValueError("terms must be a (n_terms, d) array")
+        if t.ndim != 1 + self._term_ndim or len(set(t.shape[1:])) != 1:
+            raise ValueError(f"terms must be a (n_terms{', d' * self._term_ndim}) array")
         if self.start not in (-1, 0):
             raise ValueError("start index must be -1 or 0")
         if not np.all(np.isfinite(t)):
@@ -77,42 +82,20 @@ class BlockVecSeq:
         if i < 0:
             raise IndexError(f"index {n} below start {self.start}")
         if i >= len(self.terms):
-            return np.zeros(self.d, dtype=complex)
+            return np.zeros(self.terms.shape[1:], dtype=complex)
         return self.terms[i]
 
 
 @dataclass(frozen=True)
-class BlockMatSeq:
+class BlockVecSeq(_BlockSeq):
+    """A finite sequence of C^d vectors starting at index -1 or 0."""
+
+
+@dataclass(frozen=True)
+class BlockMatSeq(_BlockSeq):
     """A finite sequence of d x d blocks starting at index -1 or 0."""
 
-    terms: np.ndarray  # shape (n_terms, d, d)
-    start: int = 0
-
-    def __post_init__(self):
-        t = np.asarray(self.terms, dtype=complex)
-        if t.ndim != 3 or t.shape[1] != t.shape[2]:
-            raise ValueError("terms must be a (n_terms, d, d) array")
-        if self.start not in (-1, 0):
-            raise ValueError("start index must be -1 or 0")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("sequence contains non-finite entries")
-        object.__setattr__(self, "terms", t)
-
-    @property
-    def d(self) -> int:
-        return self.terms.shape[1]
-
-    @property
-    def last_index(self) -> int:
-        return self.start + len(self.terms) - 1
-
-    def term(self, n: int) -> np.ndarray:
-        i = n - self.start
-        if i < 0:
-            raise IndexError(f"index {n} below start {self.start}")
-        if i >= len(self.terms):
-            return np.zeros((self.d, self.d), dtype=complex)
-        return self.terms[i]
+    _term_ndim = 2
 
     def column(self, j: int) -> BlockVecSeq:
         return BlockVecSeq(self.terms[:, :, j], start=self.start)
@@ -180,12 +163,23 @@ def matrix_functionals(a) -> dict:
     }
 
 
-def embed_first_column(v) -> np.ndarray:
-    """The matrix [v, 0, ..., 0] whose only nonzero column is v."""
-    v = np.asarray(v, dtype=complex)
-    m = np.zeros((len(v), len(v)), dtype=complex)
-    m[:, 0] = v
-    return m
+def _pair_violations(a: np.ndarray, b: np.ndarray, n: int) -> list[dict]:
+    """Records of det A_n = 0 (numerically) and B_n != B_n* for one block pair."""
+    found = []
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):
+        found.append({"n": n, "kind": "singular_A", "value": float(sv[-1])})
+    herm = np.linalg.norm(b - b.conj().T, 2)
+    if herm > HERM_TOL * max(1.0, np.linalg.norm(b, 2)):
+        found.append({"n": n, "kind": "non_hermitian_B", "value": float(herm)})
+    return found
+
+
+def _check_pair(a: np.ndarray, b: np.ndarray, n: int) -> None:
+    found = _pair_violations(a, b, n)
+    if found:
+        what = "singular A" if found[0]["kind"] == "singular_A" else "non-Hermitian B"
+        raise ParamsError(f"{what} at n={n}", found)
 
 
 def validate_params(p: JacobiParams, n_max: int) -> dict:
@@ -193,18 +187,21 @@ def validate_params(p: JacobiParams, n_max: int) -> dict:
 
     Violations are data, not errors: returns ``{"ok": bool, "violations": [...]}``
     where each violation records the index, the kind and the offending scale.
+    A family whose rule rejects a pair contributes the records its
+    ``ParamsError`` carries; a finite family is checked up to its last block.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     violations = []
     for n in range(n_max + 1):
-        a, b = p.blocks(n)
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):
-            violations.append({"n": n, "kind": "singular_A", "value": float(sv[-1])})
-        herm = np.linalg.norm(b - b.conj().T, 2)
-        if herm > HERM_TOL * max(1.0, np.linalg.norm(b, 2)):
-            violations.append({"n": n, "kind": "non_hermitian_B", "value": float(herm)})
+        try:
+            violations += _pair_violations(*p.blocks(n), n)
+        except IndexError:
+            break
+        except ParamsError as exc:
+            if not exc.violations:
+                raise
+            violations += exc.violations
     return {"ok": not violations, "violations": violations}
 
 
@@ -242,7 +239,7 @@ def cyclic_block_product(p: JacobiParams, k: int) -> np.ndarray:
 # Built-in parameter families
 # ---------------------------------------------------------------------------
 
-def _scalar_rule(values, default=None):
+def _scalar_rule(values):
     """Interpret a knob as a constant or an explicit list of scalars."""
     if np.isscalar(values):
         c = complex(values)
@@ -325,10 +322,3 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
 
     raise ParamsError(f"unknown family {name!r}")
 
-
-def _check_pair(a: np.ndarray, b: np.ndarray, n: int) -> None:
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):
-        raise ParamsError(f"singular A at n={n}")
-    if np.linalg.norm(b - b.conj().T, 2) > HERM_TOL * max(1.0, np.linalg.norm(b, 2)):
-        raise ParamsError(f"non-Hermitian B at n={n}")

@@ -9,7 +9,9 @@ runs with the same config produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -17,28 +19,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import JacobiParams, ParamsError, make_family, validate_params
+from .blockcore import JacobiParams, make_family, validate_params
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import compute_PQ
 from .subordinacy import HorizonExhausted, jl_function, nonsub_diagnostic
 from .transfer import lo_residual, omega_identity_residual, transfer_nstep, transfer_step
-from .weyl import boundary_scan, weyl_resolvent, weyl_schur
+from .weyl import _check_ladder, boundary_scan, default_n_rule, weyl_resolvent, weyl_schur
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 SCHEMA_LINE = "# bjweyl-schema v1"
 
-COMMANDS = (
-    "validate", "polys", "transfer-check", "weyl", "weyl-scan",
-    "measure", "cauchy-check", "jl", "nonsub", "report",
-)
-
-_TOP_KEYS = {
+_TOP_KEYS = {  # "seed" is accepted for older configs and ignored
     "family", "command", "N", "z", "lambda", "eps_ladder", "t_grid",
     "k_max", "n_max", "n_rule_C", "seed", "format", "out", "seminorm",
     "cap", "measure_in",
 }
+_LAMBDA_KEYS = ("min", "max", "steps")
 _FAMILY_KEYS = {
     "free": set(),
     "constant": {"A", "B"},
@@ -64,7 +62,6 @@ class RunConfig:
     k_max: int = 10
     n_max: int = 20
     n_rule_C: float = 50.0
-    seed: int = 0
     fmt: str = "csv"
     out: str | None = None
     seminorm: str = "matrix_norm"
@@ -73,10 +70,8 @@ class RunConfig:
 
     def params(self) -> JacobiParams:
         knobs = {k: v for k, v in self.family.items() if k not in ("name", "d")}
-        try:
+        with _located("family"):
             return make_family(self.family["name"], int(self.family["d"]), **knobs)
-        except ParamsError as exc:
-            raise ConfigError(f"family: {exc}") from exc
 
     def lambdas(self) -> np.ndarray:
         lo, hi, steps = self.lambda_grid
@@ -87,75 +82,89 @@ class RunConfig:
         return np.linspace(t_max / int(steps), t_max, int(steps))
 
 
+@contextlib.contextmanager
+def _located(where: str):
+    """Turn a failure to read one config entry into a ConfigError naming it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {where}{key!r}")
 
 
-def parse_config(text: str) -> RunConfig:
+def _decode(text: str) -> dict:
+    """Config text to the raw config dict; syntax is checked here, values are not."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"syntax error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
+
+
+def parse_config(config: str | dict) -> RunConfig:
+    """Validate a config, JSON text or its decoded dict, into a RunConfig.
+
+    This is the one place config values are checked: ``main`` merges its
+    flags into the dict before calling it.  Every failure is a ConfigError
+    that names the offending key.
+    """
+    raw = _decode(config) if isinstance(config, str) else config
     _reject_unknown(raw, _TOP_KEYS, "")
     cfg = RunConfig()
     if "family" in raw:
-        fam = dict(raw["family"])
-        name = fam.get("name")
-        if name not in _FAMILY_KEYS:
-            raise ConfigError(f"family.name must be one of {sorted(_FAMILY_KEYS)}")
-        if name == "diagonal" and "d" not in fam and "components" in fam:
-            fam["d"] = len(fam["components"])
+        with _located("family"):
+            fam = dict(raw["family"])
+            name = fam.get("name")
+            if name not in _FAMILY_KEYS:
+                raise ConfigError(f"family.name must be one of {sorted(_FAMILY_KEYS)}")
+            if name == "diagonal" and "d" not in fam and "components" in fam:
+                fam["d"] = len(fam["components"])
         if "d" not in fam:
             raise ConfigError("family.d is required")
         _reject_unknown(fam, _FAMILY_KEYS[name] | {"name", "d"}, "family.")
         cfg.family = fam
-    if "command" in raw:
-        if raw["command"] not in COMMANDS:
-            raise ConfigError(f"command must be one of {COMMANDS}")
-        cfg.command = raw["command"]
-    if "N" in raw:
-        cfg.N = int(raw["N"])
-        if cfg.N < 1:
-            raise ConfigError("N must be >= 1")
-    if "z" in raw:
-        re, im = raw["z"]
-        cfg.z = complex(float(re), float(im))
-    if "lambda" in raw:
-        sec = raw["lambda"]
-        _reject_unknown(sec, {"min", "max", "steps"}, "lambda.")
-        cfg.lambda_grid = (float(sec["min"]), float(sec["max"]), int(sec["steps"]))
-        if cfg.lambda_grid[2] < 1:
-            raise ConfigError("lambda.steps must be >= 1")
-    if "eps_ladder" in raw:
-        ladder = tuple(float(e) for e in raw["eps_ladder"])
-        if not ladder or any(e <= 0 for e in ladder) or any(
-                b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError("eps_ladder must be positive and strictly decreasing")
-        cfg.eps_ladder = ladder
-    if "t_grid" in raw:
-        sec = raw["t_grid"]
-        _reject_unknown(sec, {"max", "steps"}, "t_grid.")
-        cfg.t_grid = (float(sec["max"]), int(sec["steps"]))
-    for key, attr, conv in (("k_max", "k_max", int), ("n_max", "n_max", int),
-                            ("n_rule_C", "n_rule_C", float), ("seed", "seed", int),
-                            ("cap", "cap", float), ("out", "out", str),
-                            ("measure_in", "measure_in", str)):
+    for key, attr, choices in (("command", "command", COMMANDS), ("format", "fmt", ("csv", "json")),
+                               ("seminorm", "seminorm", ("matrix_norm", "matrix_minmod"))):
         if key in raw:
-            setattr(cfg, attr, conv(raw[key]))
+            if raw[key] not in choices:
+                raise ConfigError(f"{key} must be one of {choices}")
+            setattr(cfg, attr, raw[key])
+    if "z" in raw:
+        with _located("z"):
+            re, im = raw["z"]
+            cfg.z = complex(float(re), float(im))
+    if "eps_ladder" in raw:
+        with _located("eps_ladder"):
+            cfg.eps_ladder = tuple(float(e) for e in raw["eps_ladder"])
+            _check_ladder(cfg.eps_ladder)
+    for key, attr, convs in (("lambda", "lambda_grid", {"min": float, "max": float, "steps": int}),
+                             ("t_grid", "t_grid", {"max": float, "steps": int})):
+        if key in raw:
+            with _located(key):
+                _reject_unknown(raw[key], set(convs), f"{key}.")
+                setattr(cfg, attr, tuple(conv(raw[key][k]) for k, conv in convs.items()))
+    for key, conv in (("N", int), ("k_max", int), ("n_max", int), ("n_rule_C", float),
+                      ("cap", float), ("out", str), ("measure_in", str)):
+        if key in raw:
+            with _located(key):
+                setattr(cfg, key, conv(raw[key]))
+    for where, count in (("N", cfg.N), ("k_max", cfg.k_max), ("n_max", cfg.n_max),
+                         ("lambda.steps", cfg.lambda_grid[2]), ("t_grid.steps", cfg.t_grid[1])):
+        if count < 1:
+            raise ConfigError(f"{where} must be >= 1")
     if cfg.cap <= 0 or cfg.n_rule_C <= 0:
         raise ConfigError("tolerances and caps must be positive")
-    if "format" in raw:
-        if raw["format"] not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
-        cfg.fmt = raw["format"]
-    if "seminorm" in raw:
-        if raw["seminorm"] not in ("matrix_norm", "matrix_minmod"):
-            raise ConfigError("seminorm must be matrix_norm or matrix_minmod")
-        cfg.seminorm = raw["seminorm"]
     cfg.params()  # semantic gate: family blocks must satisfy the invariants
     return cfg
 
@@ -181,18 +190,12 @@ def _mat_cols(tag: str, d: int) -> list[str]:
 
 
 def _mat_vals(row: dict, tag: str, m) -> None:
-    d = m.shape[0]
-    for i in range(d):
-        for j in range(d):
-            row[f"re_{tag}_{i}_{j}"] = _num(m[i, j].real)
-            row[f"im_{tag}_{i}_{j}"] = _num(m[i, j].imag)
+    parts = (_num(v) for x in np.ravel(m) for v in (x.real, x.imag))
+    row.update(zip(_mat_cols(tag, m.shape[0]), parts))
 
 
 def _blank_mat(row: dict, tag: str, d: int) -> None:
-    for i in range(d):
-        for j in range(d):
-            row[f"re_{tag}_{i}_{j}"] = ""
-            row[f"im_{tag}_{i}_{j}"] = ""
+    row.update(dict.fromkeys(_mat_cols(tag, d), ""))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +203,7 @@ def _blank_mat(row: dict, tag: str, d: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(cfg: RunConfig):
-    p = cfg.params()
-    try:
-        result = validate_params(p, cfg.N - 1)
-    except IndexError:
-        # families backed by finite lists: validate what exists
-        result = {"ok": True, "violations": []}
+    result = validate_params(cfg.params(), cfg.N - 1)
     fields = ["n", "kind", "value"]
     if result["ok"]:
         return fields, [{"n": "", "kind": "ok", "value": ""}]
@@ -274,10 +272,14 @@ def _cmd_weyl(cfg: RunConfig):
     return fields, [row]
 
 
+def _scan(cfg: RunConfig, p: JacobiParams):
+    return boundary_scan(p, cfg.lambdas(), np.array(cfg.eps_ladder),
+                         n_rule=functools.partial(default_n_rule, C=cfg.n_rule_C))
+
+
 def _cmd_weyl_scan(cfg: RunConfig):
     p = cfg.params()
-    scan = boundary_scan(p, cfg.lambdas(), np.array(cfg.eps_ladder),
-                         n_rule=lambda e: max(1, math.ceil(cfg.n_rule_C / e)))
+    scan = _scan(cfg, p)
     fields = (["lambda", "eps", "tr_im"] + _mat_cols("W", p.d)
               + ["label", "rank", "error"])
     rows = []
@@ -319,12 +321,10 @@ def _read_measure_csv(path: str, d: int) -> DiscreteMatrixMeasure:
             raise ConfigError(f"{path}: missing schema header")
         reader = csv.DictReader(fh)
         pairs = []
+        cols = _mat_cols("w", d)
         for rec in reader:
-            w = np.zeros((d, d), dtype=complex)
-            for i in range(d):
-                for j in range(d):
-                    w[i, j] = complex(float(rec[f"re_w_{i}_{j}"]),
-                                      float(rec[f"im_w_{i}_{j}"]))
+            w = np.array([complex(float(rec[re]), float(rec[im]))
+                          for re, im in zip(cols[::2], cols[1::2])]).reshape(d, d)
             pairs.append((float(rec["lambda"]), w))
     return DiscreteMatrixMeasure.from_pairs(pairs, d)
 
@@ -397,10 +397,8 @@ def _cmd_nonsub(cfg: RunConfig):
 
 
 def _cmd_report(cfg: RunConfig):
-    p = cfg.params()
-    lams = cfg.lambdas()
-    scan = boundary_scan(p, lams, np.array(cfg.eps_ladder),
-                         n_rule=lambda e: max(1, math.ceil(cfg.n_rule_C / e)))
+    scan = _scan(cfg, cfg.params())
+    lams = scan.lambda_grid
     fields = ["kind", "lambda", "lambda_lo", "lambda_hi", "label", "rank", "note"]
     rows = []
     for lam, cls in zip(lams, scan.classification):
@@ -439,6 +437,7 @@ _DISPATCH = {
     "nonsub": _cmd_nonsub,
     "report": _cmd_report,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _write(fields, rows, fmt: str, out):
@@ -474,62 +473,43 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config path")
     ap.add_argument("--command", choices=COMMANDS)
     ap.add_argument("--out")
-    ap.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    ap.add_argument("--format", choices=("csv", "json"))
     ap.add_argument("--N", type=int)
     ap.add_argument("--lambda-min", type=float)
     ap.add_argument("--lambda-max", type=float)
     ap.add_argument("--lambda-steps", type=int)
-    ap.add_argument("--eps-ladder", help="comma-separated decreasing positives")
-    ap.add_argument("--seed", type=int)
+    ap.add_argument("--eps-ladder", type=lambda s: s.split(","),
+                    help="comma-separated decreasing positives")
     ap.add_argument("--seminorm", choices=("norm", "minmod"))
     ap.add_argument("--cap", type=float)
     return ap
 
 
+def _flags_as_config(ns: argparse.Namespace, raw: dict) -> dict:
+    """The given flags as config entries to merge over ``raw``; a lambda flag
+    completes the config's lambda section, or the default grid."""
+    flags = {key: v for key, v in vars(ns).items() if key in _TOP_KEYS and v is not None}
+    if ns.seminorm is not None:
+        flags["seminorm"] = "matrix_" + ns.seminorm
+    lam = {key: v for key, v in zip(_LAMBDA_KEYS, (ns.lambda_min, ns.lambda_max, ns.lambda_steps))
+           if v is not None}
+    sec = raw.get("lambda", {})
+    if lam and isinstance(sec, dict):
+        flags["lambda"] = {**dict(zip(_LAMBDA_KEYS, RunConfig().lambda_grid)), **sec, **lam}
+    return flags
+
+
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
+        raw = {}
         if ns.config is not None:
             with open(ns.config) as fh:
-                cfg = parse_config(fh.read())
-        else:
-            cfg = RunConfig()
-        if ns.command is not None:
-            cfg.command = ns.command
-        if ns.out is not None:
-            cfg.out = ns.out
-        if ns.fmt is not None:
-            cfg.fmt = ns.fmt
-        if ns.N is not None:
-            if ns.N < 1:
-                raise ConfigError("N must be >= 1")
-            cfg.N = ns.N
-        lo, hi, steps = cfg.lambda_grid
-        if ns.lambda_min is not None:
-            lo = ns.lambda_min
-        if ns.lambda_max is not None:
-            hi = ns.lambda_max
-        if ns.lambda_steps is not None:
-            steps = ns.lambda_steps
-        cfg.lambda_grid = (lo, hi, steps)
-        if ns.eps_ladder is not None:
-            ladder = tuple(float(x) for x in ns.eps_ladder.split(","))
-            if not ladder or any(e <= 0 for e in ladder) or any(
-                    b >= a for a, b in zip(ladder, ladder[1:])):
-                raise ConfigError("eps ladder must be positive and strictly decreasing")
-            cfg.eps_ladder = ladder
-        if ns.seed is not None:
-            cfg.seed = ns.seed
-        if ns.seminorm is not None:
-            cfg.seminorm = {"norm": "matrix_norm", "minmod": "matrix_minmod"}[ns.seminorm]
-        if ns.cap is not None:
-            if ns.cap <= 0:
-                raise ConfigError("cap must be positive")
-            cfg.cap = ns.cap
-    except (ConfigError, OSError) as exc:
+                raw = _decode(fh.read())
+        return run(parse_config({**raw, **_flags_as_config(ns, raw)}))
+    except (ConfigError, OSError) as exc:  # OSError: the config's files and paths
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -40,37 +40,48 @@ def affine_interp(f, t: float, start: int = 0) -> float:
     return float(f[i]) + frac * (float(f[i + 1]) - float(f[i]))
 
 
-def _term_sq(x, kind: SeminormKind) -> float:
+def _term_sq(x, kind: SeminormKind) -> np.float64:
+    # numpy scalars: an overflowing square is inf, not an OverflowError
     if kind is SeminormKind.vector_norm:
-        return float(np.vdot(x, x).real)
+        return np.vdot(x, x).real
     if kind is SeminormKind.matrix_norm:
-        return float(np.linalg.norm(x, 2)) ** 2
+        return np.linalg.norm(x, 2) ** 2
     if kind is SeminormKind.matrix_minmod:
-        sv = np.linalg.svd(x, compute_uv=False)
-        return float(sv[-1]) ** 2
+        return np.linalg.svd(x, compute_uv=False)[-1] ** 2
     raise ValueError(kind)
 
 
 def seminorm_nodes(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, n2: int) -> np.ndarray:
-    """Squared partial sums at integer nodes n1..n2 (cumulative term functionals)."""
-    if isinstance(x, BlockVecSeq) and kind is not SeminormKind.vector_norm:
-        raise ValueError("matrix seminorm variants apply only to matrix sequences")
-    sq = np.array([_term_sq(x.term(k), kind) for k in range(n1, n2 + 1)])
-    return np.cumsum(sq)
+    """Squared partial sums at integer nodes n1..n2 (cumulative term functionals).
+
+    A partial sum beyond the double range is ``inf``.
+    """
+    if (x.terms.ndim == 2) != (kind is SeminormKind.vector_norm):
+        raise ValueError("vector_norm applies to vector sequences, the matrix "
+                         "variants to matrix sequences")
+    with np.errstate(over="ignore"):
+        sq = np.array([_term_sq(x.term(k), kind) for k in range(n1, n2 + 1)])
+        return np.cumsum(sq)
 
 
 def seminorm(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, t: float) -> float:
-    """Interpolated seminorm of x over [n1, t]; t = math.inf sums the full stored tail."""
+    """Interpolated seminorm of x over [n1, t]; t = math.inf sums the full stored tail.
+
+    Squared sums past the double range are redone on the terms times 2**-shift
+    (exact in binary, largest entry in [1/2, 1)); the root is scaled back.
+    """
     if n1 < x.start:
         raise ValueError(f"n1={n1} below start index {x.start}")
-    if math.isinf(t):
-        nodes = seminorm_nodes(x, kind, n1, x.last_index)
-        return math.sqrt(float(nodes[-1]))
     if t < n1:
         raise ValueError(f"t={t} below n1={n1}")
-    n = math.floor(t)
-    nodes = seminorm_nodes(x, kind, n1, n + 1)
-    return math.sqrt(affine_interp(nodes, t, start=n1))
+    n2 = x.last_index if math.isinf(t) else math.floor(t) + 1
+    nodes, shift = seminorm_nodes(x, kind, n1, n2), 0
+    if not np.isfinite(nodes[-1]):
+        shift = math.frexp(float(np.max(np.abs(x.terms[n1 - x.start:n2 - x.start + 1]))))[1]
+        nodes = seminorm_nodes(type(x)(x.terms * math.ldexp(1.0, -shift), start=x.start),
+                               kind, n1, n2)
+    sq = float(nodes[-1]) if math.isinf(t) else affine_interp(nodes, t, start=n1)
+    return math.ldexp(math.sqrt(sq), shift)
 
 
 def quotient_brackets(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcore import JacobiParams
-from .seminorms import SeminormKind, affine_interp
+from .seminorms import SeminormKind, affine_interp, seminorm_nodes
 from .solutions import compute_PQ
 from .transfer import transfer_step
 
@@ -57,18 +57,7 @@ class GramTrajectory:
 def _pq_sq_nodes(p: JacobiParams, lam: float, horizon: int, kind: SeminormKind):
     """Cumulative squared term functionals of P and Q over indices 0..horizon."""
     pq = compute_PQ(p, lam, horizon)
-
-    def nodes(seq):
-        if kind is SeminormKind.matrix_norm:
-            sq = [np.linalg.norm(seq.term(k), 2) ** 2 for k in range(horizon + 1)]
-        elif kind is SeminormKind.matrix_minmod:
-            sq = [np.linalg.svd(seq.term(k), compute_uv=False)[-1] ** 2
-                  for k in range(horizon + 1)]
-        else:
-            raise ValueError("length function needs a matrix seminorm variant")
-        return np.cumsum(sq)
-
-    return nodes(pq.P), nodes(pq.Q)
+    return seminorm_nodes(pq.P, kind, 0, horizon), seminorm_nodes(pq.Q, kind, 0, horizon)
 
 
 def jl_function(p: JacobiParams, lam: float, eps: float,

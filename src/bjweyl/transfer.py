@@ -54,6 +54,17 @@ def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
     return {"T": t, "T_inv": t_inv}
 
 
+def _conjugate_chains(step, z: complex, n: int) -> list[np.ndarray]:
+    """step(w, n-1) ... step(w, 0) for w = z and w = conj z, accumulated from the right."""
+    out = []
+    for w in (z, np.conj(z)):
+        r = step(w, 0)
+        for k in range(1, n):
+            r = step(w, k) @ r
+        out.append(r)
+    return out
+
+
 def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
     """The n-step product R_n(z) = T_{n-1} ... T_0 and its structured inverse.
 
@@ -64,12 +75,7 @@ def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = p.d
-    r = transfer_step(p, z, 0)["T"]
-    for k in range(1, n):
-        r = transfer_step(p, z, k)["T"] @ r
-    rb = transfer_step(p, np.conj(z), 0)["T"]
-    for k in range(1, n):
-        rb = transfer_step(p, np.conj(z), k)["T"] @ rb
+    r, rb = _conjugate_chains(lambda w, k: transfer_step(p, w, k)["T"], z, n)
     a_last = p.A(n - 1)
     left = np.zeros((2 * d, 2 * d), dtype=complex)
     left[:d, d:] = np.eye(d)
@@ -105,11 +111,7 @@ def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     omega = np.zeros((2 * d, 2 * d), dtype=complex)
     omega[:d, d:] = np.eye(d)
     omega[d:, :d] = -np.eye(d)
-    rt = _tilde_step(p, z, 0)
-    rtb = _tilde_step(p, np.conj(z), 0)
-    for k in range(1, n):
-        rt = _tilde_step(p, z, k) @ rt
-        rtb = _tilde_step(p, np.conj(z), k) @ rtb
+    rt, rtb = _conjugate_chains(lambda w, k: _tilde_step(p, w, k), z, n)
     s = rtb.conj().T @ omega @ rt
     scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
     return float(np.linalg.norm(omega - s, 2) / scale)

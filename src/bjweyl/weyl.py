@@ -73,26 +73,20 @@ def finite_section(p: JacobiParams, N: int) -> FiniteSection:
 
 
 def _banded_shifted(p: JacobiParams, z: complex, N: int) -> np.ndarray:
-    """(H - zI) in scipy solve_banded storage; bandwidth 2d-1 on each side."""
+    """(H - zI) in scipy solve_banded storage; bandwidth 2d-1 on each side.
+
+    Entry (r, c) of H - zI sits at ab[bw + r - c, c].
+    """
     d = p.d
     bw = 2 * d - 1
     ab = np.zeros((2 * bw + 1, N * d), dtype=complex)
-
-    def put(i, j, val):
-        ab[bw + i - j, j] = val
-
+    i, j = np.indices((d, d))
     for n in range(N):
-        b = p.B(n) - z * np.eye(d)
-        for i in range(d):
-            for j in range(d):
-                put(n * d + i, n * d + j, b[i, j])
+        ab[bw + i - j, n * d + j] = p.B(n) - z * np.eye(d)
         if n + 1 < N:
             a = p.A(n)
-            ah = a.conj().T
-            for i in range(d):
-                for j in range(d):
-                    put(n * d + i, (n + 1) * d + j, a[i, j])
-                    put((n + 1) * d + i, n * d + j, ah[i, j])
+            ab[bw + i - j - d, (n + 1) * d + j] = a
+            ab[bw + i - j + d, n * d + j] = a.conj().T
     return ab
 
 
@@ -109,13 +103,7 @@ def weyl_resolvent(p: JacobiParams, z: complex, N: int) -> WeylSample:
     For real z the value is defined whenever z is away from the section
     spectrum; no invertibility of W is claimed there.
     """
-    d = p.d
-    ab = _banded_shifted(p, z, N)
-    rhs = np.zeros((N * d, d), dtype=complex)
-    rhs[:d] = np.eye(d)
-    bw = 2 * d - 1
-    x = scipy.linalg.solve_banded((bw, bw), ab, rhs)
-    w = x[:d]
+    w = _resolvent_columns(p, z, N)[0]
     return WeylSample(z, w, "resolvent", N,
                       {"herglotz_min_eig": _herglotz_min_eig(z, w)})
 
@@ -199,6 +187,16 @@ def default_n_rule(eps: float, C: float = 50.0) -> int:
     return max(1, math.ceil(C / eps))
 
 
+def _check_ladder(eps_ladder) -> np.ndarray:
+    """The eps ladder as a float array; ValueError unless it is non-empty,
+    positive and strictly decreasing."""
+    ladder = np.asarray(eps_ladder, dtype=float)
+    if (ladder.ndim != 1 or not len(ladder) or not np.all(ladder > 0)
+            or not np.all(np.diff(ladder) < 0)):
+        raise ValueError("eps ladder must be non-empty, positive and strictly decreasing")
+    return ladder
+
+
 def _classify(ws: list[np.ndarray], tr_im: list[float], rank_rel: float = 1e-3) -> dict:
     """Per-lambda decision from the ladder of W values (eps decreasing)."""
     n = len(ws)
@@ -230,18 +228,15 @@ def _classify(ws: list[np.ndarray], tr_im: list[float], rank_rel: float = 1e-3) 
     return {"label": "outside", "rank": 0, "density": None}
 
 
-def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder, n_rule=None) -> BoundaryScan:
+def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
+                  n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
     Per-lambda failures are recorded as undecided rather than raised; results
     are assembled in grid order so the output is deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    eps_ladder = np.asarray(eps_ladder, dtype=float)
-    if not np.all(np.diff(eps_ladder) < 0) or np.any(eps_ladder <= 0):
-        raise ValueError("eps ladder must be strictly decreasing and positive")
-    if n_rule is None:
-        n_rule = default_n_rule
+    eps_ladder = _check_ladder(eps_ladder)
     rows = []
     classification = []
     for lam in lambda_grid:

@@ -165,3 +165,76 @@ def test_report_command_emits_interval(tmp_path):
     rows = read_rows(out)
     intervals = [r for r in rows if r["kind"] == "interval"]
     assert intervals and intervals[0]["note"] == "heuristic"
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_validate_reports_violation_of_finite_diagonal_family(tmp_path, n):
+    # the family lists three terms, so N beyond them validates what exists
+    config = write_config(tmp_path, command="validate", N=n, family={
+        "name": "diagonal", "components": [{"a": [1.0, 0.0, 1.0], "b": 0.0}]})
+    out = tmp_path / "v.csv"
+    assert main(["--config", config, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [(r["n"], r["kind"]) for r in rows] == [("1", "singular_A")]
+
+
+FREE = {"name": "free", "d": 1}
+
+
+@pytest.mark.parametrize("config, flags, where", [
+    ({"N": "abc"}, [], "N"),
+    ({"z": [1]}, [], "z"),
+    ({"family": {"name": "constant", "d": 2, "A": [[1]], "B": [[0, 0], [0, 0]]}}, [], "family"),
+    ({"family": {"name": "constant", "d": 1, "B": [[0]]}}, [], "family: missing key 'A'"),
+    ({"lambda": {"min": 0}}, [], "lambda: missing key 'max'"),
+    ({"lambda": [0, 1, 2]}, [], "lambda"),
+    ({"command": "nonsub", "t_grid": {"max": 10, "steps": 0}}, [], "t_grid.steps"),
+    ({"command": "weyl-scan", "lambda": {"min": 0, "max": 1, "steps": 0}}, [], "lambda.steps"),
+    ({"command": "weyl-scan"}, ["--lambda-steps", "0"], "lambda.steps"),
+    ({}, ["--N", "0"], "N"),
+    ({}, ["--cap", "0"], "cap"),
+    ({}, ["--eps-ladder", "0.1,0.2"], "eps_ladder"),
+    ({}, ["--eps-ladder", "0.1,x"], "eps_ladder"),
+    ({"command": "cauchy-check", "measure_in": "no-such-atoms.csv"}, [], "no-such-atoms.csv"),
+])
+def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
+    path = write_config(tmp_path, **{"family": FREE, **config})
+    out = tmp_path / "o.csv"
+    assert main(["--config", path, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and where in err
+    assert not out.exists()
+
+
+_FLAG_BASE = {"family": FREE, "command": "weyl", "N": 20, "z": [0.0, 1.0],
+              "lambda": {"min": -1.0, "max": 1.0, "steps": 2}, "eps_ladder": [1.0, 0.5],
+              "t_grid": {"max": 8.0, "steps": 4}}
+
+
+@pytest.mark.parametrize("command, flags, keys", [
+    ("weyl", [], {}),  # --out alone against the "out" key
+    ("weyl", ["--N", "7"], {"N": 7}),
+    ("weyl", ["--command", "weyl-scan"], {"command": "weyl-scan"}),
+    ("weyl", ["--format", "json"], {"format": "json"}),
+    ("weyl-scan", ["--lambda-min", "-0.5"], {"lambda": {"min": -0.5, "max": 1.0, "steps": 2}}),
+    ("weyl-scan", ["--lambda-max", "0.5"], {"lambda": {"min": -1.0, "max": 0.5, "steps": 2}}),
+    ("weyl-scan", ["--lambda-steps", "3"], {"lambda": {"min": -1.0, "max": 1.0, "steps": 3}}),
+    ("weyl-scan", ["--eps-ladder", "0.5,0.25"], {"eps_ladder": [0.5, 0.25]}),
+    ("jl", ["--seminorm", "norm"], {"seminorm": "matrix_norm"}),
+    ("jl", ["--seminorm", "minmod"], {"seminorm": "matrix_minmod"}),
+    ("nonsub", ["--cap", "2"], {"cap": 2.0}),
+])
+def test_flag_gives_the_bytes_of_its_config_key(tmp_path, command, flags, keys):
+    base = {**_FLAG_BASE, "command": command}
+    if command == "jl":  # d = 2 so that norm and minmod differ; the base has the other one
+        base["family"] = {"name": "diagonal",
+                          "components": [{"a": 1.0, "b": 0.0}, {"a": 2.0, "b": 0.0}]}
+        base["seminorm"] = ({"matrix_norm", "matrix_minmod"} - {keys["seminorm"]}).pop()
+    plain, via_flag, via_key = tmp_path / "plain.out", tmp_path / "flag.out", tmp_path / "key.out"
+    flag_cfg = write_config(tmp_path, "flag.json", **base)
+    key_cfg = write_config(tmp_path, "key.json", **{**base, **keys, "out": str(via_key)})
+    assert main(["--config", flag_cfg, "--out", str(plain)]) == 0
+    assert main(["--config", flag_cfg, "--out", str(via_flag), *flags]) == 0
+    assert main(["--config", key_cfg]) == 0
+    assert via_flag.read_bytes() == via_key.read_bytes()
+    assert (plain.read_bytes() != via_flag.read_bytes()) == bool(flags)

@@ -1,10 +1,14 @@
+import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bjweyl.blockcore import BlockMatSeq, BlockVecSeq
+from bjweyl.blockcore import BlockMatSeq, BlockVecSeq, make_family
 from bjweyl.seminorms import SeminormKind, affine_interp, quotient_brackets, seminorm
+from bjweyl.solutions import compute_PQ
 
 
 def vec_seq(rng, n, d, start=0):
@@ -85,3 +89,47 @@ def test_start_minus_one_sequences(rng):
     assert val == pytest.approx(direct)
     with pytest.raises(ValueError):
         seminorm(x, SeminormKind.vector_norm, -2, 3)
+
+
+def test_vector_kind_rejects_matrix_input(rng):
+    x = mat_seq(rng, 4, 2)
+    with pytest.raises(ValueError):
+        seminorm(x, SeminormKind.vector_norm, 0, 2)
+
+
+def _exact_sqrt(frac: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (Decimal(frac.numerator) / Decimal(frac.denominator)).sqrt()
+
+
+def test_seminorms_whose_squares_pass_the_double_range():
+    # The free family's P_n(3), Q_n(3) are integers, and from n ~ 370 on their
+    # squares exceed the largest double: integer sums give the exact seminorms.
+    n_max, t = 400, 390.5
+    p, q = [0, 1], [1, 0]  # indices -1, 0; A_{-1} = -I makes Q_1 = +1
+    for n in range(n_max):
+        p.append(3 * p[-1] - (p[-2] if n else -p[-2]))
+        q.append(3 * q[-1] - (q[-2] if n else -q[-2]))
+    sums_p = list(itertools.accumulate(v * v for v in p[1:]))
+    sums_q = list(itertools.accumulate(v * v for v in q[1:]))
+
+    def at(sums, s):  # squared seminorm over [0, s]
+        k = math.floor(s)
+        return Fraction(sums[k]) + Fraction(s - k) * (sums[k + 1] - sums[k])
+
+    tail = float(_exact_sqrt(Fraction(sums_p[-1])))
+    assert tail == pytest.approx(1.962671506160946e167, rel=1e-15)
+    node_ratios = [float(_exact_sqrt(Fraction(sums_p[k], sums_q[k]))) for k in (390, 391)]
+    expect = {"seminorm_t": float(_exact_sqrt(at(sums_p, t))), "tail": tail,
+              "value": float(_exact_sqrt(at(sums_p, t) / at(sums_q, t))),
+              "lower": min(node_ratios), "upper": max(node_ratios)}
+
+    pq = compute_PQ(make_family("free", 1), 3.0, n_max)
+    for kind in SeminormKind:
+        x, y = (pq.P.column(0), pq.Q.column(0)) if kind is SeminormKind.vector_norm else (pq.P, pq.Q)
+        qb = quotient_brackets(x, y, kind, 0, t)
+        got = {"seminorm_t": seminorm(x, kind, 0, t), "tail": seminorm(x, kind, 0, math.inf),
+               "value": qb["value"], "lower": qb["lower"], "upper": qb["upper"]}
+        for key, value in expect.items():
+            assert got[key] == pytest.approx(value, rel=1e-13), (kind, key)
