@@ -264,8 +264,11 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
                          (constants or explicit lists).
     periodic_modulated:  period lists ``A_period``/``B_period`` with A_n scaled
                          by (n+1)**growth.
-    explicit:            knobs ``A``/``B`` are explicit block lists.
+    explicit:            knobs ``A``/``B`` are explicit block lists, equally long.
+    d < 1 and an empty period or block list raise ParamsError here.
     """
+    if d < 1:
+        raise ParamsError(f"d must be >= 1, got {d}")
     eye = np.eye(d, dtype=complex)
     zero = np.zeros((d, d), dtype=complex)
 
@@ -298,6 +301,8 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
         a_period = [_as_block(np.asarray(a, dtype=complex), d) for a in knobs["A_period"]]
         b_period = [_as_block(np.asarray(b, dtype=complex), d) for b in knobs["B_period"]]
         growth = float(knobs.get("growth", 0.0))
+        if not a_period or not b_period:
+            raise ParamsError("A_period and B_period must be non-empty")
 
         def rule(n):
             a = a_period[n % len(a_period)] * (n + 1) ** growth
@@ -310,11 +315,14 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
     if name == "explicit":
         a_list = [_as_block(np.asarray(a, dtype=complex), d) for a in knobs["A"]]
         b_list = [_as_block(np.asarray(b, dtype=complex), d) for b in knobs["B"]]
+        if not a_list or len(a_list) != len(b_list):
+            raise ParamsError(f"explicit family needs as many A as B blocks and at least one, "
+                              f"got {len(a_list)} and {len(b_list)}")
         for n, (a, b) in enumerate(zip(a_list, b_list)):
             _check_pair(a, b, n)
 
         def rule(n):
-            if n >= len(a_list) or n >= len(b_list):
+            if n >= len(a_list):
                 raise IndexError(f"explicit family materialized beyond its {len(a_list)} listed blocks")
             return a_list[n], b_list[n]
 

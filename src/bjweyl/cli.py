@@ -50,6 +50,11 @@ class ConfigError(ValueError):
     pass
 
 
+# What numerical code raises when a run cannot produce a value (LinAlgError and
+# ParamsError are ValueErrors): a row error, or a config error on the family.
+_ROW_ERRORS = (ArithmeticError, ValueError, IndexError, HorizonExhausted)
+
+
 @dataclass
 class RunConfig:
     family: dict = field(default_factory=lambda: {"name": "free", "d": 1})
@@ -91,8 +96,20 @@ def _located(where: str):
         raise
     except KeyError as exc:
         raise ConfigError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ArithmeticError, ValueError) as exc:  # int(inf): OverflowError
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _row_errors(row: dict):
+    """Write a failure of the enclosed computation into ``row["error"]``;
+    cells filled before it stay."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except _ROW_ERRORS as exc:
+        row["error"] = str(exc)
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -174,7 +191,7 @@ def parse_config(config: str | dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _num(x) -> str:
-    if x is None or (isinstance(x, str) and x == ""):
+    if x is None:
         return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -194,10 +211,6 @@ def _mat_vals(row: dict, tag: str, m) -> None:
     row.update(zip(_mat_cols(tag, m.shape[0]), parts))
 
 
-def _blank_mat(row: dict, tag: str, d: int) -> None:
-    row.update(dict.fromkeys(_mat_cols(tag, d), ""))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -206,7 +219,7 @@ def _cmd_validate(cfg: RunConfig):
     result = validate_params(cfg.params(), cfg.N - 1)
     fields = ["n", "kind", "value"]
     if result["ok"]:
-        return fields, [{"n": "", "kind": "ok", "value": ""}]
+        return fields, [{"kind": "ok"}]
     return fields, [{"n": str(v["n"]), "kind": v["kind"], "value": _num(v["value"])}
                     for v in result["violations"]]
 
@@ -231,8 +244,8 @@ def _cmd_transfer_check(cfg: RunConfig):
     rows = []
     eye = np.eye(2 * p.d)
     for k in range(1, cfg.k_max + 1):
-        row = {"k": str(k), "error": ""}
-        try:
+        row = {"k": str(k)}
+        with _row_errors(row):
             row["omega_residual"] = _num(omega_identity_residual(p, cfg.z, k))
             nstep = transfer_nstep(p, cfg.z, k)
             scale = max(1.0, np.linalg.norm(nstep["R"], 2)
@@ -245,10 +258,6 @@ def _cmd_transfer_check(cfg: RunConfig):
             lo = lo_residual(p, cfg.z, k)
             row["lo_r1"] = _num(lo["r1"])
             row["lo_r2"] = _num(lo["r2"])
-        except Exception as exc:
-            for col in fields[1:-1]:
-                row.setdefault(col, "")
-            row["error"] = str(exc)
         rows.append(row)
     return fields, rows
 
@@ -257,18 +266,13 @@ def _cmd_weyl(cfg: RunConfig):
     p = cfg.params()
     fields = (["re_z", "im_z", "N", "route_diff", "herglotz_min_eig"]
               + _mat_cols("W", p.d) + ["error"])
-    row = {"re_z": _num(cfg.z.real), "im_z": _num(cfg.z.imag),
-           "N": str(cfg.N), "error": ""}
-    try:
+    row = {"re_z": _num(cfg.z.real), "im_z": _num(cfg.z.imag), "N": str(cfg.N)}
+    with _row_errors(row):
         schur = weyl_schur(p, cfg.z, cfg.N)
         resolvent = weyl_resolvent(p, cfg.z, cfg.N)
         row["route_diff"] = _num(np.linalg.norm(schur.W - resolvent.W, 2))
         row["herglotz_min_eig"] = _num(schur.diagnostics["herglotz_min_eig"])
         _mat_vals(row, "W", schur.W)
-    except Exception as exc:
-        row["route_diff"] = row["herglotz_min_eig"] = ""
-        _blank_mat(row, "W", p.d)
-        row["error"] = str(exc)
     return fields, [row]
 
 
@@ -284,21 +288,14 @@ def _cmd_weyl_scan(cfg: RunConfig):
               + ["label", "rank", "error"])
     rows = []
     for r in scan.rows:
-        row = {"lambda": _num(r["lambda"]), "eps": _num(r["eps"]),
-               "tr_im": _num(r["tr_im"]) if not math.isnan(r["tr_im"]) else "",
-               "label": "", "rank": "", "error": r["error"]}
-        if r["W"] is None:
-            _blank_mat(row, "W", p.d)
-        else:
+        row = {"lambda": _num(r["lambda"]), "eps": _num(r["eps"]), "error": r["error"]}
+        if not math.isnan(r["tr_im"]):
+            row["tr_im"] = _num(r["tr_im"])
+        if r["W"] is not None:
             _mat_vals(row, "W", r["W"])
         rows.append(row)
     for lam, cls in zip(scan.lambda_grid, scan.classification):
-        row = {"lambda": _num(lam), "eps": "", "tr_im": "",
-               "label": cls["label"],
-               "rank": "" if cls["rank"] is None else str(cls["rank"]),
-               "error": ""}
-        _blank_mat(row, "W", p.d)
-        rows.append(row)
+        rows.append({"lambda": _num(lam), "label": cls["label"], "rank": _num(cls["rank"])})
     return fields, rows
 
 
@@ -333,23 +330,19 @@ def _cmd_cauchy_check(cfg: RunConfig):
     p = cfg.params()
     fields = ["N", "re_z", "im_z", "gap", "error"]
     rows = []
+    sizes = sorted({max(1, cfg.N // 4), max(1, cfg.N // 2), cfg.N})
+    given = None
     if cfg.measure_in is not None:
-        m = _read_measure_csv(cfg.measure_in, p.d)
+        with _located("measure_in"):
+            given = _read_measure_csv(cfg.measure_in, p.d)
         sizes = [cfg.N]
-        measures = [m]
-    else:
-        sizes = sorted({max(1, cfg.N // 4), max(1, cfg.N // 2), cfg.N})
-        measures = [quadrature_measure(p, n) for n in sizes]
-    for n, m in zip(sizes, measures):
-        row = {"N": str(n), "re_z": _num(cfg.z.real), "im_z": _num(cfg.z.imag),
-               "error": ""}
-        try:
+    for n in sizes:
+        row = {"N": str(n), "re_z": _num(cfg.z.real), "im_z": _num(cfg.z.imag)}
+        with _row_errors(row):
+            m = given if given is not None else quadrature_measure(p, n)
             gap = np.linalg.norm(
                 cauchy_transform(m, cfg.z) - weyl_resolvent(p, cfg.z, n).W, 2)
             row["gap"] = _num(gap)
-        except Exception as exc:
-            row["gap"] = ""
-            row["error"] = str(exc)
         rows.append(row)
     return fields, rows
 
@@ -361,14 +354,11 @@ def _cmd_jl(cfg: RunConfig):
     rows = []
     for lam in cfg.lambdas():
         for eps in cfg.eps_ladder:
-            row = {"lambda": _num(lam), "eps": _num(eps), "error": ""}
-            try:
+            row = {"lambda": _num(lam), "eps": _num(eps)}
+            with _row_errors(row):
                 s = jl_function(p, float(lam), eps, variant)
                 row["ell"] = _num(s.ell)
                 row["residual"] = _num(s.residual)
-            except HorizonExhausted as exc:
-                row["ell"] = row["residual"] = ""
-                row["error"] = str(exc)
             rows.append(row)
     return fields, rows
 
@@ -378,21 +368,15 @@ def _cmd_nonsub(cfg: RunConfig):
     fields = ["lambda", "t", "cond", "verdict", "growth_rate_per_step", "error"]
     rows = []
     for lam in cfg.lambdas():
-        try:
+        row = {"lambda": _num(lam)}
+        with _row_errors(row):
             diag = nonsub_diagnostic(p, float(lam), cfg.ts(), cap=cfg.cap)
-        except Exception as exc:
-            rows.append({"lambda": _num(lam), "t": "", "cond": "",
-                         "verdict": "", "growth_rate_per_step": "",
-                         "error": str(exc)})
-            continue
-        for t, cond in diag["cond_trajectory"]:
-            rows.append({"lambda": _num(lam), "t": _num(t), "cond": _num(cond),
-                         "verdict": "", "growth_rate_per_step": "", "error": ""})
-        rows.append({"lambda": _num(lam), "t": "", "cond": "",
-                     "verdict": diag["verdict"],
-                     "growth_rate_per_step": _num(diag["growth_rate_per_step"])
-                     if not math.isnan(diag["growth_rate_per_step"]) else "",
-                     "error": ""})
+            rows += [{"lambda": _num(lam), "t": _num(t), "cond": _num(cond)}
+                     for t, cond in diag["cond_trajectory"]]
+            row["verdict"] = diag["verdict"]
+            if not math.isnan(diag["growth_rate_per_step"]):
+                row["growth_rate_per_step"] = _num(diag["growth_rate_per_step"])
+        rows.append(row)
     return fields, rows
 
 
@@ -402,10 +386,8 @@ def _cmd_report(cfg: RunConfig):
     fields = ["kind", "lambda", "lambda_lo", "lambda_hi", "label", "rank", "note"]
     rows = []
     for lam, cls in zip(lams, scan.classification):
-        rows.append({"kind": "point", "lambda": _num(lam), "lambda_lo": "",
-                     "lambda_hi": "", "label": cls["label"],
-                     "rank": "" if cls["rank"] is None else str(cls["rank"]),
-                     "note": ""})
+        rows.append({"kind": "point", "lambda": _num(lam), "label": cls["label"],
+                     "rank": _num(cls["rank"])})
     # maximal grid runs where every point is ac or outside: a heuristic
     # stand-in for intervals free of singular candidates, not a proof
     i = 0
@@ -415,9 +397,8 @@ def _cmd_report(cfg: RunConfig):
             j = i
             while j + 1 < len(lams) and labels[j + 1] in ("ac", "outside"):
                 j += 1
-            rows.append({"kind": "interval", "lambda": "",
-                         "lambda_lo": _num(lams[i]), "lambda_hi": _num(lams[j]),
-                         "label": "ac_or_outside", "rank": "",
+            rows.append({"kind": "interval", "lambda_lo": _num(lams[i]),
+                         "lambda_hi": _num(lams[j]), "label": "ac_or_outside",
                          "note": "heuristic"})
             i = j + 1
         else:
@@ -441,12 +422,12 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def _write(fields, rows, fmt: str, out):
+    rows = [dict.fromkeys(fields, "") | row for row in rows]  # absent cells are blank
     if fmt == "csv":
         out.write(SCHEMA_LINE + "\n")
         writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     else:
         json.dump({"schema": SCHEMA_LINE.lstrip("# "), "rows": rows},
                   out, indent=1, sort_keys=True)
@@ -454,7 +435,12 @@ def _write(fields, rows, fmt: str, out):
 
 
 def run(cfg: RunConfig) -> int:
-    fields, rows = _DISPATCH[cfg.command](cfg)
+    try:
+        fields, rows = _DISPATCH[cfg.command](cfg)
+    except ConfigError:
+        raise
+    except _ROW_ERRORS as exc:  # raised outside any row: the family cannot be run
+        raise ConfigError(f"family: {exc}") from exc
     if rows and all(r.get("error") for r in rows):
         status = 2
     else:

@@ -116,16 +116,16 @@ def weyl_schur(p: JacobiParams, z: complex, N: int) -> WeylSample:
     """
     d = p.d
     eye = np.eye(d, dtype=complex)
-    g = np.linalg.inv(p.B(N - 1) - z * eye)
-    for k in range(N - 2, -1, -1):
-        a = p.A(k)
-        pivot = p.B(k) - z * eye - a @ g @ a.conj().T
-        try:
-            g = np.linalg.inv(pivot)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"singular Schur pivot at block {k}: z too close to the section spectrum"
-            ) from exc
+    k = N - 1
+    try:
+        g = np.linalg.inv(p.B(k) - z * eye)
+        for k in range(N - 2, -1, -1):
+            a = p.A(k)
+            g = np.linalg.inv(p.B(k) - z * eye - a @ g @ a.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular Schur pivot at block {k}: z too close to the section spectrum"
+        ) from exc
     return WeylSample(z, g, "schur", N,
                       {"herglotz_min_eig": _herglotz_min_eig(z, g)})
 
@@ -232,8 +232,8 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
                   n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
-    Per-lambda failures are recorded as undecided rather than raised; results
-    are assembled in grid order so the output is deterministic.
+    A failed rung is recorded as a row with its error message and its lambda
+    as undecided rather than raised; rows are in grid order, deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     eps_ladder = _check_ladder(eps_ladder)
@@ -245,10 +245,10 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
         for eps in eps_ladder:
             try:
                 sample = weyl_schur(p, complex(lam, eps), n_rule(eps))
-            except np.linalg.LinAlgError:
+            except (ArithmeticError, ValueError, IndexError) as exc:
                 failed = True
                 rows.append({"lambda": float(lam), "eps": float(eps),
-                             "W": None, "tr_im": math.nan, "error": "singular"})
+                             "W": None, "tr_im": math.nan, "error": str(exc)})
                 continue
             im_w = (sample.W - sample.W.conj().T) / 2j
             t = float(np.trace(im_w).real)

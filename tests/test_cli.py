@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bjweyl.cli import ConfigError, RunConfig, main, parse_config, run
+from bjweyl.cli import COMMANDS, ConfigError, RunConfig, main, parse_config, run
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name="cfg.json", **kw):
@@ -196,6 +199,22 @@ FREE = {"name": "free", "d": 1}
     ({}, ["--eps-ladder", "0.1,0.2"], "eps_ladder"),
     ({}, ["--eps-ladder", "0.1,x"], "eps_ladder"),
     ({"command": "cauchy-check", "measure_in": "no-such-atoms.csv"}, [], "no-such-atoms.csv"),
+    ({"command": "cauchy-check", "measure_in": str(DATA / "atoms_missing_column.csv")}, [],
+     "measure_in: missing key 'im_w_0_0'"),
+    ({"command": "cauchy-check", "measure_in": str(DATA / "atoms_bad_cell.csv")}, [],
+     "measure_in: could not convert"),
+    ({"command": "cauchy-check", "measure_in": str(DATA / "atoms_negative_weight.csv")}, [],
+     "measure_in: atom at 0.0 has a non-PSD weight"),
+    ({"command": "jl", "family": {"name": "free", "d": 0}}, [], "family: d must be >= 1"),
+    ({"family": {"name": "periodic_modulated", "d": 1, "A_period": [], "B_period": [[[0]]]}}, [],
+     "family: A_period and B_period must be non-empty"),
+    ({"family": {"name": "periodic_modulated", "d": 1, "A_period": [[[1]]], "B_period": []}}, [],
+     "family: A_period and B_period must be non-empty"),
+    ({"family": {"name": "explicit", "d": 1, "A": [], "B": []}}, [], "got 0 and 0"),
+    ({"family": {"name": "explicit", "d": 1, "A": [[[1]], [[1]]], "B": [[[0]]]}}, [],
+     "got 2 and 1"),
+    ({"N": math.inf}, [], "N: cannot convert float infinity"),
+    ({"family": {"name": "free", "d": math.inf}}, [], "family: cannot convert float infinity"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
@@ -238,3 +257,30 @@ def test_flag_gives_the_bytes_of_its_config_key(tmp_path, command, flags, keys):
     assert main(["--config", key_cfg]) == 0
     assert via_flag.read_bytes() == via_key.read_bytes()
     assert (plain.read_bytes() != via_flag.read_bytes()) == bool(flags)
+
+
+# Families that parse but fail at run time: every A_n singular, blocks past the
+# third, and A_n = (n+1)**400 overflowing at n = 5.
+_FAILING_FAMILIES = {
+    "zero_a": {"name": "diagonal", "components": [{"a": 0.0, "b": 0.0}]},
+    "short_explicit": {"name": "explicit", "d": 1, "A": [[[1.0]]] * 3, "B": [[[0.0]]] * 3},
+    "growth_400": {"name": "periodic_modulated", "d": 1, "A_period": [[[1.0]]],
+                   "B_period": [[[0.0]]], "growth": 400},
+}
+
+
+@pytest.mark.parametrize("family", _FAILING_FAMILIES.values(), ids=_FAILING_FAMILIES)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_family_failing_at_run_time_gives_row_errors_or_a_config_error(
+        tmp_path, capsys, command, family):
+    config = write_config(tmp_path, **{**_FLAG_BASE, "N": 10, "k_max": 3, "n_max": 5,
+                                       "family": family, "command": command, "format": "json"})
+    out = tmp_path / "o.json"
+    code = main(["--config", config, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("config error: family: ") and not out.exists()
+    else:
+        rows = json.loads(out.read_text())["rows"]
+        assert code == (2 if rows and all(r.get("error") for r in rows) else 0)

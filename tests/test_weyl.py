@@ -129,6 +129,22 @@ def test_boundary_scan_diagonal_rank_two():
     assert scan.classification[0]["rank"] == 2
 
 
+def test_boundary_scan_records_rungs_past_a_short_family():
+    p = make_family("explicit", 1, A=[[[1.0]]] * 3, B=[[[0.0]]] * 3)
+    # N(1.0) = 3 fits the three listed blocks, N(0.5) = 6 does not
+    scan = boundary_scan(p, [-0.5, 0.5], [1.0, 0.5], n_rule=lambda eps: round(3 / eps))
+    assert [r["error"] == "" for r in scan.rows] == [True, False, True, False]
+    assert all("beyond its 3 listed blocks" in r["error"] and r["W"] is None
+               for r in scan.rows[1::2])
+    assert [c["label"] for c in scan.classification] == ["undecided", "undecided"]
+
+
+def test_singular_last_schur_pivot_names_its_block():
+    p = make_family("constant", 1, A=[[1.0]], B=[[0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="block 0"):
+        weyl_schur(p, 0j, 1)
+
+
 def test_boundary_scan_rejects_bad_ladder():
     p = make_family("free", 1)
     with pytest.raises(ValueError):
