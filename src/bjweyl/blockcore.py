@@ -2,9 +2,7 @@
 
 The central object is :class:`JacobiParams`: the block sequences (A_n), (B_n)
 with ``det A_n != 0`` and ``B_n = B_n*``.  Blocks are materialized lazily from
-a rule and cached together with an LU factorization of each A_n, since the
-recurrence solvers reuse the same factorization across many spectral
-parameters.
+a rule and cached.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "BlockVecSeq",
@@ -116,7 +113,7 @@ class JacobiParams:
     """Block Jacobi parameters: a rule producing (A_n, B_n) for n >= 0.
 
     ``rule(n)`` must return a pair of d x d arrays.  Blocks are cached on
-    first access, together with an LU factorization of A_n.
+    first access.
     """
 
     d: int
@@ -124,7 +121,6 @@ class JacobiParams:
     family_tag: str = "explicit"
     bounded: bool = False  # uniformly bounded blocks => J self-adjoint
     _cache: dict = field(default_factory=dict, repr=False)
-    _lu_cache: dict = field(default_factory=dict, repr=False)
 
     def blocks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n < 0:
@@ -141,10 +137,8 @@ class JacobiParams:
         return self.blocks(n)[1]
 
     def solve_A(self, n: int, rhs: np.ndarray) -> np.ndarray:
-        """A_n^{-1} rhs via a cached LU factorization."""
-        if n not in self._lu_cache:
-            self._lu_cache[n] = scipy.linalg.lu_factor(self.A(n))
-        return scipy.linalg.lu_solve(self._lu_cache[n], rhs)
+        """A_n^{-1} rhs."""
+        return np.linalg.solve(self.A(n), rhs)
 
 
 def matrix_functionals(a) -> dict:

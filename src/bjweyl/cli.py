@@ -23,7 +23,7 @@ from .blockcore import JacobiParams, make_family, validate_params
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import compute_PQ
-from .subordinacy import HorizonExhausted, jl_function, nonsub_diagnostic
+from .subordinacy import HORIZON_CAP, HorizonExhausted, jl_function, nonsub_diagnostic
 from .transfer import lo_residual, omega_identity_residual, transfer_nstep, transfer_step
 from .weyl import _check_ladder, boundary_scan, default_n_rule, weyl_resolvent, weyl_schur
 
@@ -72,11 +72,16 @@ class RunConfig:
     seminorm: str = "matrix_norm"
     cap: float = 1e3
     measure_in: str | None = None
+    _params: JacobiParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def params(self) -> JacobiParams:
-        knobs = {k: v for k, v in self.family.items() if k not in ("name", "d")}
-        with _located("family"):
-            return make_family(self.family["name"], int(self.family["d"]), **knobs)
+        """The family, built on the first call; later calls return the same
+        object, so its blocks are materialized and checked once per run."""
+        if self._params is None:
+            knobs = {k: v for k, v in self.family.items() if k not in ("name", "d")}
+            with _located("family"):
+                self._params = make_family(self.family["name"], int(self.family["d"]), **knobs)
+        return self._params
 
     def lambdas(self) -> np.ndarray:
         lo, hi, steps = self.lambda_grid
@@ -182,6 +187,16 @@ def parse_config(config: str | dict) -> RunConfig:
             raise ConfigError(f"{where} must be >= 1")
     if cfg.cap <= 0 or cfg.n_rule_C <= 0:
         raise ConfigError("tolerances and caps must be positive")
+    # cost bounds on the walks
+    eps = min(cfg.eps_ladder)
+    with _located("eps_ladder"):  # ceil() of an infinite n_rule_C/eps overflows
+        if (cfg.command in ("weyl-scan", "report")
+                and default_n_rule(eps, cfg.n_rule_C) > HORIZON_CAP):
+            raise ConfigError(f"eps_ladder: eps = {eps!r} needs N above the cap of "
+                              f"{HORIZON_CAP} blocks")
+    if cfg.command == "nonsub" and cfg.t_grid[0] > HORIZON_CAP:
+        raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r} is above the cap of "
+                          f"{HORIZON_CAP} blocks")
     cfg.params()  # semantic gate: family blocks must satisfy the invariants
     return cfg
 
@@ -295,7 +310,8 @@ def _cmd_weyl_scan(cfg: RunConfig):
             _mat_vals(row, "W", r["W"])
         rows.append(row)
     for lam, cls in zip(scan.lambda_grid, scan.classification):
-        rows.append({"lambda": _num(lam), "label": cls["label"], "rank": _num(cls["rank"])})
+        rows.append({"lambda": _num(lam), "label": cls["label"], "rank": _num(cls["rank"]),
+                     "error": cls.get("error", "")})
     return fields, rows
 
 
@@ -387,7 +403,7 @@ def _cmd_report(cfg: RunConfig):
     rows = []
     for lam, cls in zip(lams, scan.classification):
         rows.append({"kind": "point", "lambda": _num(lam), "label": cls["label"],
-                     "rank": _num(cls["rank"])})
+                     "rank": _num(cls["rank"]), "note": cls.get("error", "")})
     # maximal grid runs where every point is ac or outside: a heuristic
     # stand-in for intervals free of singular candidates, not a proof
     i = 0

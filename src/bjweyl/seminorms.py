@@ -64,8 +64,8 @@ def seminorm_nodes(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, n2
         return np.cumsum(sq)
 
 
-def seminorm(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, t: float) -> float:
-    """Interpolated seminorm of x over [n1, t]; t = math.inf sums the full stored tail.
+def _seminorm_to(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, t: float):
+    """s -> the seminorm of x over [n1, s], for n1 <= s <= t, from one node array.
 
     Squared sums past the double range are redone on the terms times 2**-shift
     (exact in binary, largest entry in [1/2, 1)); the root is scaled back.
@@ -80,8 +80,20 @@ def seminorm(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, t: float
         shift = math.frexp(float(np.max(np.abs(x.terms[n1 - x.start:n2 - x.start + 1]))))[1]
         nodes = seminorm_nodes(type(x)(x.terms * math.ldexp(1.0, -shift), start=x.start),
                                kind, n1, n2)
-    sq = float(nodes[-1]) if math.isinf(t) else affine_interp(nodes, t, start=n1)
-    return math.ldexp(math.sqrt(sq), shift)
+
+    def at(s: float) -> float:
+        sq = float(nodes[-1]) if math.isinf(s) else affine_interp(nodes, s, start=n1)
+        return math.ldexp(math.sqrt(sq), shift)
+
+    return at
+
+
+def seminorm(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, t: float) -> float:
+    """Interpolated seminorm of x over [n1, t]; t = math.inf sums the full stored tail.
+
+    A squared sum beyond the double range still gives a finite seminorm.
+    """
+    return _seminorm_to(x, kind, n1, t)(t)
 
 
 def quotient_brackets(
@@ -91,17 +103,16 @@ def quotient_brackets(
 
     The quotient of the two squared seminorms is monotone on each unit
     segment, so the value at t is bracketed by the node ratios at floor(t)
-    and floor(t)+1.
+    and floor(t)+1.  One node array per sequence serves all three.
     """
     n = math.floor(t)
-    denom_n = seminorm(y, kind, n1, n)
-    if denom_n == 0.0:
+    num, den = _seminorm_to(x, kind, n1, t), _seminorm_to(y, kind, n1, t)
+    if den(n) == 0.0:
         raise ZeroDivisionError(f"seminorm of denominator vanishes at node {n}")
-    value = seminorm(x, kind, n1, t) / seminorm(y, kind, n1, t)
+    value = num(t) / den(t)
     ratios = {}
     for node in (n, n + 1):
-        denom = seminorm(y, kind, n1, node)
-        ratios[node] = seminorm(x, kind, n1, node) / denom if denom > 0 else math.inf
+        ratios[node] = num(node) / den(node) if den(node) > 0 else math.inf
     lo, hi = (n, n + 1) if ratios[n] <= ratios[n + 1] else (n + 1, n)
     return {"value": value, "lower_node": lo, "upper_node": hi,
             "lower": ratios[lo], "upper": ratios[hi]}

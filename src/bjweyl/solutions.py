@@ -54,6 +54,13 @@ class PolyPair:
     n_max: int
 
 
+def _a_prev_adj(p: JacobiParams, n: int) -> np.ndarray:
+    """A_{n-1}* with the a-priori choice A_{-1} = -I."""
+    if n == 0:
+        return -np.eye(p.d, dtype=complex)
+    return p.A(n - 1).conj().T
+
+
 def _steps(p: JacobiParams, z: complex, c_prev: np.ndarray, c_cur: np.ndarray,
            first_n: int, n_max: int) -> list[np.ndarray]:
     """Run the forward recurrence; c_prev/c_cur sit at indices first_n-1, first_n."""
@@ -62,11 +69,7 @@ def _steps(p: JacobiParams, z: complex, c_prev: np.ndarray, c_cur: np.ndarray,
     out = [c_prev, c_cur]
     prev, cur = c_prev, c_cur
     for n in range(first_n, n_max):
-        rhs = (z * eye - p.B(n)) @ cur
-        if n == 0:
-            rhs = rhs + prev  # A_{-1}* = -I
-        else:
-            rhs = rhs - p.A(n - 1).conj().T @ prev
+        rhs = (z * eye - p.B(n)) @ cur - _a_prev_adj(p, n) @ prev
         nxt = p.solve_A(n, rhs)
         out.append(nxt)
         prev, cur = cur, nxt
@@ -162,15 +165,11 @@ def recurrence_residual(p: JacobiParams, z: complex, seq) -> float:
     The residual at n is scaled by max(1, neighboring term norms) because
     solutions can grow exponentially.
     """
-    eye = np.eye(p.d, dtype=complex)
     first = 0 if seq.start == -1 else 1
     worst = 0.0
     for n in range(first, seq.last_index):
-        lhs = p.B(n) @ seq.term(n) + p.A(n) @ seq.term(n + 1)
-        if n == 0 and seq.start == -1:
-            lhs = lhs - seq.term(-1)  # A_{-1}* = -I
-        elif n >= 1:
-            lhs = lhs + p.A(n - 1).conj().T @ seq.term(n - 1)
+        lhs = (p.B(n) @ seq.term(n) + p.A(n) @ seq.term(n + 1)
+               + _a_prev_adj(p, n) @ seq.term(n - 1))
         res = np.linalg.norm(lhs - z * seq.term(n))
         scale = max(1.0, *(np.linalg.norm(seq.term(m)) for m in (n - 1, n, n + 1) if m >= seq.start))
         worst = max(worst, res / scale)

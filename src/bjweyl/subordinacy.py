@@ -18,7 +18,7 @@ import numpy as np
 from .blockcore import JacobiParams
 from .seminorms import SeminormKind, affine_interp, seminorm_nodes
 from .solutions import compute_PQ
-from .transfer import transfer_step
+from .transfer import _chain, _step
 
 __all__ = [
     "JLSample",
@@ -26,6 +26,7 @@ __all__ = [
     "HorizonExhausted",
     "jl_function",
     "gram_nodes",
+    "gev_l2_dimension",
     "solution_gram",
     "nonsub_diagnostic",
     "spectral_consequence_report",
@@ -102,12 +103,7 @@ def _sel_chain(p: JacobiParams, z: complex, n: int) -> list[np.ndarray]:
     """Lower d-block rows of R_0 = I, R_1, ..., R_n."""
     d = p.d
     sel = np.hstack([np.zeros((d, d)), np.eye(d)]).astype(complex)
-    out = [sel.copy()]
-    r = np.eye(2 * d, dtype=complex)
-    for k in range(n):
-        r = transfer_step(p, z, k)["T"] @ r
-        out.append(r[d:].copy())
-    return out
+    return [sel] + [r[d:].copy() for r in _chain(_step, p, z, n)]
 
 
 def gram_nodes(p: JacobiParams, z: complex, ts) -> dict:
@@ -120,22 +116,49 @@ def gram_nodes(p: JacobiParams, z: complex, ts) -> dict:
     if any(t < 0 for t in ts):
         raise ValueError("t values must be >= 0")
     top = max(math.floor(t) + 1 for t in ts) if ts else 0
-    chain = _sel_chain(p, z, top)
-    d = p.d
-    cum = np.zeros((top + 1, 2 * d, 2 * d), dtype=complex)
-    acc = np.zeros((2 * d, 2 * d), dtype=complex)
-    for k in range(top + 1):
-        acc = acc + chain[k].conj().T @ chain[k]
-        cum[k] = acc
+    terms = np.array([c.conj().T @ c for c in _sel_chain(p, z, top)])
+    cum = np.cumsum(terms, axis=0)
     out = {}
     for t in ts:
         n = math.floor(t)
         g = cum[n].copy()
         frac = t - n
         if frac > 0:
-            g = g + frac * (chain[n + 1].conj().T @ chain[n + 1])
+            g = g + frac * terms[n + 1]
         out[t] = g
     return out
+
+
+def gev_l2_dimension(p: JacobiParams, z: complex, n_max: int = 32) -> dict:
+    """Estimate the number of square-summable directions among the 2d
+    solution-space directions, via seminorm growth between two horizons.
+
+    A direction counts as l2-like when its cumulative squared seminorm
+    barely grows between n_max/2 and n_max (tail ratio <= 1.25).  Candidate
+    directions are the Gram eigenvectors at the far horizon; their ratios
+    are evaluated by applying the transfer chain directly, since the Gram
+    quadratic form cancels catastrophically for decaying directions.  Off
+    the real axis the estimate is at most d.  n_max much beyond ~30 is
+    counterproductive: rounding contaminates decaying directions at rate
+    eps * growth^2.
+    """
+    t1 = max(2, n_max // 2)
+    t2 = n_max
+    chain = _sel_chain(p, z, t2)
+    g2 = sum(c.conj().T @ c for c in chain)
+    _, evecs = np.linalg.eigh(g2)
+    ratios = []
+    for j in range(evecs.shape[1]):
+        c = evecs[:, j]
+        sq = [float(np.vdot(m @ c, m @ c).real) for m in chain]
+        den = float(np.sum(sq[: t1 + 1]))
+        num = float(np.sum(sq))
+        ratios.append(num / den if den > 0 else math.inf)
+    ratios = sorted(ratios)
+    dim = sum(1 for r in ratios if r <= 1.25)
+    exponents = [math.log(max(r, 1.0)) / (2.0 * (t2 - t1)) for r in ratios]
+    return {"dim_estimate": int(dim), "growth_exponents": exponents,
+            "horizons": (t1, t2)}
 
 
 COND_SATURATION = 1e16
@@ -210,8 +233,6 @@ def spectral_consequence_report(p: JacobiParams, lam: float, diagnostic: dict,
     the spectrum but not an eigenvalue", cross-checked against the l2
     dimension estimate at lam.
     """
-    from .weyl import gev_l2_dimension
-
     if diagnostic["verdict"] != "nonsubordinate_evidence":
         return {"claim": None, "reason": f"verdict {diagnostic['verdict']}"}
     if not p.bounded:

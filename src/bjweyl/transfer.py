@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blockcore import JacobiParams
-from .solutions import compute_PQ
+from .solutions import _a_prev_adj, compute_PQ
 
 __all__ = [
     "transfer_step",
@@ -23,11 +23,23 @@ __all__ = [
 ]
 
 
-def _a_prev_adj(p: JacobiParams, n: int) -> np.ndarray:
-    """A_{n-1}* with the a-priori choice A_{-1} = -I."""
-    if n == 0:
-        return -np.eye(p.d, dtype=complex)
-    return p.A(n - 1).conj().T
+def _step(p: JacobiParams, z: complex, n: int) -> np.ndarray:
+    """T_n(z) = [[0, I], [-A_n^{-1} A_{n-1}*, A_n^{-1}(zI - B_n)]]."""
+    d = p.d
+    eye = np.eye(d, dtype=complex)
+    t = np.zeros((2 * d, 2 * d), dtype=complex)
+    t[:d, d:] = eye
+    t[d:, :d] = -p.solve_A(n, _a_prev_adj(p, n))
+    t[d:, d:] = p.solve_A(n, z * eye - p.B(n))
+    return t
+
+
+def _chain(step, p: JacobiParams, z: complex, n: int):
+    """Yield the running products S_0, S_1 S_0, ..., S_{n-1} ... S_0 of S_k = step(p, z, k)."""
+    r = None
+    for k in range(n):
+        r = step(p, z, k) if r is None else step(p, z, k) @ r
+        yield r
 
 
 def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
@@ -40,29 +52,12 @@ def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
         raise ValueError("n must be >= 0")
     d = p.d
     eye = np.eye(d, dtype=complex)
-    a_prev = _a_prev_adj(p, n)
-    zb = z * eye - p.B(n)
-    t = np.zeros((2 * d, 2 * d), dtype=complex)
-    t[:d, d:] = eye
-    t[d:, :d] = -p.solve_A(n, a_prev)
-    t[d:, d:] = p.solve_A(n, zb)
     t_inv = np.zeros((2 * d, 2 * d), dtype=complex)
-    a_prev_inv = np.linalg.inv(a_prev)
-    t_inv[:d, :d] = a_prev_inv @ zb
+    a_prev_inv = np.linalg.inv(_a_prev_adj(p, n))
+    t_inv[:d, :d] = a_prev_inv @ (z * eye - p.B(n))
     t_inv[:d, d:] = -a_prev_inv @ p.A(n)
     t_inv[d:, :d] = eye
-    return {"T": t, "T_inv": t_inv}
-
-
-def _conjugate_chains(step, z: complex, n: int) -> list[np.ndarray]:
-    """step(w, n-1) ... step(w, 0) for w = z and w = conj z, accumulated from the right."""
-    out = []
-    for w in (z, np.conj(z)):
-        r = step(w, 0)
-        for k in range(1, n):
-            r = step(w, k) @ r
-        out.append(r)
-    return out
+    return {"T": _step(p, z, n), "T_inv": t_inv}
 
 
 def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
@@ -75,7 +70,7 @@ def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = p.d
-    r, rb = _conjugate_chains(lambda w, k: transfer_step(p, w, k)["T"], z, n)
+    r, rb = (list(_chain(_step, p, w, n))[-1] for w in (z, np.conj(z)))
     a_last = p.A(n - 1)
     left = np.zeros((2 * d, 2 * d), dtype=complex)
     left[:d, d:] = np.eye(d)
@@ -111,7 +106,7 @@ def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     omega = np.zeros((2 * d, 2 * d), dtype=complex)
     omega[:d, d:] = np.eye(d)
     omega[d:, :d] = -np.eye(d)
-    rt, rtb = _conjugate_chains(lambda w, k: _tilde_step(p, w, k), z, n)
+    rt, rtb = (list(_chain(_tilde_step, p, w, n))[-1] for w in (z, np.conj(z)))
     s = rtb.conj().T @ omega @ rt
     scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
     return float(np.linalg.norm(omega - s, 2) / scale)

@@ -18,6 +18,7 @@ import scipy.linalg
 
 from .blockcore import BlockMatSeq, JacobiParams
 from .solutions import MgevSolution, solve_forward
+from .subordinacy import gev_l2_dimension
 
 __all__ = [
     "FiniteSection",
@@ -54,7 +55,8 @@ class BoundaryScan:
     lambda_grid: np.ndarray
     eps_ladder: np.ndarray
     rows: list  # one dict per (lambda, eps)
-    classification: list  # one dict per lambda: {"label", "rank", "density"}
+    classification: list  # one dict per lambda: {"label", "rank", "density"}, and
+    # "error" (the first failed rung's message, or "") when undecided for want of rungs
 
 
 def finite_section(p: JacobiParams, N: int) -> FiniteSection:
@@ -232,23 +234,23 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
                   n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
-    A failed rung is recorded as a row with its error message and its lambda
-    as undecided rather than raised; rows are in grid order, deterministic.
+    A failed rung is recorded as a row with its error message rather than
+    raised, and its lambda as undecided with the first such message; rows are
+    in grid order, deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     eps_ladder = _check_ladder(eps_ladder)
     rows = []
     classification = []
     for lam in lambda_grid:
-        ws, tr_im = [], []
-        failed = False
+        ws, tr_im, errors = [], [], []
         for eps in eps_ladder:
             try:
                 sample = weyl_schur(p, complex(lam, eps), n_rule(eps))
             except (ArithmeticError, ValueError, IndexError) as exc:
-                failed = True
+                errors.append(str(exc))
                 rows.append({"lambda": float(lam), "eps": float(eps),
-                             "W": None, "tr_im": math.nan, "error": str(exc)})
+                             "W": None, "tr_im": math.nan, "error": errors[-1]})
                 continue
             im_w = (sample.W - sample.W.conj().T) / 2j
             t = float(np.trace(im_w).real)
@@ -256,42 +258,9 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
             tr_im.append(t)
             rows.append({"lambda": float(lam), "eps": float(eps),
                          "W": sample.W, "tr_im": t, "error": ""})
-        if failed or len(ws) < 2:
-            classification.append({"label": "undecided", "rank": None, "density": None})
+        if errors or len(ws) < 2:
+            classification.append({"label": "undecided", "rank": None, "density": None,
+                                   "error": errors[0] if errors else ""})
         else:
             classification.append(_classify(ws, tr_im))
     return BoundaryScan(lambda_grid, eps_ladder, rows, classification)
-
-
-def gev_l2_dimension(p: JacobiParams, z: complex, n_max: int = 32) -> dict:
-    """Estimate the number of square-summable directions among the 2d
-    solution-space directions, via seminorm growth between two horizons.
-
-    A direction counts as l2-like when its cumulative squared seminorm
-    barely grows between n_max/2 and n_max (tail ratio <= 1.25).  Candidate
-    directions are the Gram eigenvectors at the far horizon; their ratios
-    are evaluated by applying the transfer chain directly, since the Gram
-    quadratic form cancels catastrophically for decaying directions.  Off
-    the real axis the estimate is at most d.  n_max much beyond ~30 is
-    counterproductive: rounding contaminates decaying directions at rate
-    eps * growth^2.
-    """
-    from .subordinacy import _sel_chain
-
-    t1 = max(2, n_max // 2)
-    t2 = n_max
-    chain = _sel_chain(p, z, t2)
-    g2 = sum(c.conj().T @ c for c in chain)
-    _, evecs = np.linalg.eigh(g2)
-    ratios = []
-    for j in range(evecs.shape[1]):
-        c = evecs[:, j]
-        sq = [float(np.vdot(m @ c, m @ c).real) for m in chain]
-        den = float(np.sum(sq[: t1 + 1]))
-        num = float(np.sum(sq))
-        ratios.append(num / den if den > 0 else math.inf)
-    ratios = sorted(ratios)
-    dim = sum(1 for r in ratios if r <= 1.25)
-    exponents = [math.log(max(r, 1.0)) / (2.0 * (t2 - t1)) for r in ratios]
-    return {"dim_estimate": int(dim), "growth_exponents": exponents,
-            "horizons": (t1, t2)}

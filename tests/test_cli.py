@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bjweyl.cli
 from bjweyl.cli import COMMANDS, ConfigError, RunConfig, main, parse_config, run
 
 DATA = Path(__file__).parent / "data"
@@ -215,6 +216,10 @@ FREE = {"name": "free", "d": 1}
      "got 2 and 1"),
     ({"N": math.inf}, [], "N: cannot convert float infinity"),
     ({"family": {"name": "free", "d": math.inf}}, [], "family: cannot convert float infinity"),
+    ({"command": "weyl-scan", "eps_ladder": [1e-300]}, [],
+     "eps_ladder: eps = 1e-300 needs N above the cap"),
+    ({"command": "nonsub", "t_grid": {"max": 1e12, "steps": 4}}, [],
+     "t_grid: max = 1000000000000.0 is above the cap"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
@@ -284,3 +289,25 @@ def test_family_failing_at_run_time_gives_row_errors_or_a_config_error(
     else:
         rows = json.loads(out.read_text())["rows"]
         assert code == (2 if rows and all(r.get("error") for r in rows) else 0)
+
+
+def test_one_run_builds_the_family_once(tmp_path, monkeypatch):
+    calls = []
+    build = bjweyl.cli.make_family
+    monkeypatch.setattr(bjweyl.cli, "make_family",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    config = write_config(tmp_path, command="weyl", N=20,
+                          family={"name": "constant", "d": 1, "A": [[1.0]], "B": [[0.0]]})
+    assert main(["--config", config, "--out", str(tmp_path / "w.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_a_failed_lambda_carries_its_reason(tmp_path):
+    base = {**_FLAG_BASE, "family": _FAILING_FAMILIES["zero_a"]}
+    report = tmp_path / "report.csv"
+    assert main(["--config", write_config(tmp_path, **{**base, "command": "weyl-scan"}),
+                 "--out", str(tmp_path / "scan.csv")]) == 2
+    assert main(["--config", write_config(tmp_path, **{**base, "command": "report"}),
+                 "--out", str(report)]) == 0
+    points = [r for r in read_rows(report) if r["kind"] == "point"]
+    assert points and all(r["note"].startswith("singular A") for r in points)

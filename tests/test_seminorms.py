@@ -133,3 +133,17 @@ def test_seminorms_whose_squares_pass_the_double_range():
                "value": qb["value"], "lower": qb["lower"], "upper": qb["upper"]}
         for key, value in expect.items():
             assert got[key] == pytest.approx(value, rel=1e-13), (kind, key)
+
+
+@pytest.mark.parametrize("kind", list(SeminormKind))
+def test_quotient_brackets_are_the_seminorm_ratios(rng, kind):
+    for t in (0.0, 2.0, 3.25, 6.5):
+        if kind is SeminormKind.vector_norm:
+            x, y = vec_seq(rng, 9, 2), vec_seq(rng, 9, 2)
+        else:
+            x, y = mat_seq(rng, 9, 2), mat_seq(rng, 9, 2)
+        n = math.floor(t)
+        ratios = [seminorm(x, kind, 0, s) / seminorm(y, kind, 0, s) for s in (n, n + 1)]
+        out = quotient_brackets(x, y, kind, 0, t)
+        assert out["value"] == seminorm(x, kind, 0, t) / seminorm(y, kind, 0, t)
+        assert (out["lower"], out["upper"]) == (min(ratios), max(ratios))

@@ -85,3 +85,13 @@ def test_nstep_requires_positive_n(rng):
     p = random_bounded_params(rng, 1)
     with pytest.raises(ValueError):
         transfer_nstep(p, 1j, 0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_nstep_is_the_product_of_the_steps(rng, n):
+    p = random_bounded_params(rng, 2)
+    z = 0.3 + 0.8j
+    r = transfer_step(p, z, 0)["T"]
+    for k in range(1, n):
+        r = transfer_step(p, z, k)["T"] @ r
+    assert np.array_equal(transfer_nstep(p, z, n)["R"], r)
