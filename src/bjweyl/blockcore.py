@@ -2,17 +2,21 @@
 
 The central object is :class:`JacobiParams`: the block sequences (A_n), (B_n)
 with ``det A_n != 0`` and ``B_n = B_n*``.  Blocks are materialized lazily from
-a rule and cached.
+a rule into one array store, which every family, user rules included, enters
+through ``JacobiParams.stack``; each new slab is checked there in one batched
+call, and no store grows past ``HORIZON_CAP`` blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "HORIZON_CAP",
     "BlockVecSeq",
     "BlockMatSeq",
     "JacobiParams",
@@ -27,23 +31,19 @@ __all__ = [
 
 HERM_TOL = 1e-10
 SINGULAR_TOL = 1e-10
+HORIZON_CAP = 2 ** 20  # blocks in one store: the cost bound of every walk along n
 
 
 class ParamsError(ValueError):
-    """Raised when block data violates the invertibility/Hermitianity rules;
-    ``violations`` holds the offending pair's records as validate_params reports them."""
-
-    def __init__(self, message: str, violations=()):
-        super().__init__(message)
-        self.violations = list(violations)
+    """Raised when block data violates the invertibility/Hermitianity rules."""
 
 
-def _as_block(a, d: int) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def _as_block(a, d: int, n: int | None = None) -> np.ndarray:
+    a, at = np.asarray(a, dtype=complex), "" if n is None else f" at n={n}"
     if a.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} block, got shape {a.shape}")
+        raise ValueError(f"expected a {d}x{d} block{at}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("block contains non-finite entries")
+        raise ValueError(f"block{at} contains non-finite entries")
     return a
 
 
@@ -112,29 +112,58 @@ def delta_seq(n: int, v, d: int | None = None) -> BlockVecSeq:
 class JacobiParams:
     """Block Jacobi parameters: a rule producing (A_n, B_n) for n >= 0.
 
-    ``rule(n)`` must return a pair of d x d arrays.  Blocks are cached on
-    first access.
+    ``rule(n)`` must return a pair of d x d arrays.  It is called once per
+    index, by ``stack``, which keeps the pairs in one array store; ``A(n)``,
+    ``B(n)`` and ``blocks(n)`` are views into it.
     """
 
     d: int
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
     family_tag: str = "explicit"
     bounded: bool = False  # uniformly bounded blocks => J self-adjoint
-    _cache: dict = field(default_factory=dict, repr=False)
+    _store: np.ndarray = field(init=False, repr=False, compare=False)  # (2, capacity, d, d)
+    _n: int = field(default=0, init=False, repr=False, compare=False)  # indices stored
+    _bad: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._store = np.empty((2, 0, self.d, self.d), dtype=complex)
+
+    def stack(self, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """(A_0..A_{N-1}, B_0..B_{N-1}) as two (N, d, d) views into the store.
+
+        New indices get one ``rule`` call each, in order, and one batched check;
+        a bad block raises for the lowest failing n (``_bad`` records them all).
+        The store grows geometrically; N above HORIZON_CAP raises before any call.
+        """
+        if N > HORIZON_CAP:
+            raise ValueError(f"{N} blocks requested, above the cap of {HORIZON_CAP} blocks")
+        first, d = self._n, self.d
+        try:
+            if N > first:
+                if N > self._store.shape[1]:
+                    grown = np.empty((2, min(HORIZON_CAP, max(N, 2 * first)), d, d), dtype=complex)
+                    grown[:, :first] = self._store[:, :first]
+                    self._store = grown
+                with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite block
+                    for n in range(first, N):
+                        self._store[:, n] = [_as_block(x, d, n) for x in self.rule(n)]
+                        self._n = n + 1
+        finally:  # pairs stored before a failure are kept and checked; the lowest bad n wins
+            if self._n > first:
+                self._bad += _violations(*self._store[:, first:self._n], first)
+            if self._bad and (v := self._bad[0])["n"] < N:
+                what = "singular A" if v["kind"] == "singular_A" else "non-Hermitian B"
+                raise ParamsError(f"{what} at n={v['n']}")
+        return self._store[0, :max(N, 0)], self._store[1, :max(N, 0)]
 
     def blocks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n < 0:
-            raise IndexError("block index must be >= 0")
-        if n not in self._cache:
-            a, b = self.rule(n)
-            self._cache[n] = (_as_block(a, self.d), _as_block(b, self.d))
-        return self._cache[n]
+        return self.A(n), self.B(n)
 
     def A(self, n: int) -> np.ndarray:
-        return self.blocks(n)[0]
+        return self.stack(n + 1)[0][n]
 
     def B(self, n: int) -> np.ndarray:
-        return self.blocks(n)[1]
+        return self.stack(n + 1)[1][n]
 
     def solve_A(self, n: int, rhs: np.ndarray) -> np.ndarray:
         """A_n^{-1} rhs."""
@@ -157,45 +186,32 @@ def matrix_functionals(a) -> dict:
     }
 
 
-def _pair_violations(a: np.ndarray, b: np.ndarray, n: int) -> list[dict]:
-    """Records of det A_n = 0 (numerically) and B_n != B_n* for one block pair."""
-    found = []
+def _violations(a: np.ndarray, b: np.ndarray, first: int) -> list[dict]:
+    """Records of det A_n = 0 (numerically) and B_n != B_n* for the stacked
+    blocks A_n = a[n - first], B_n = b[n - first], in index order, from one
+    batched SVD and one batched norm."""
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= SINGULAR_TOL * max(1.0, sv[0]):
-        found.append({"n": n, "kind": "singular_A", "value": float(sv[-1])})
-    herm = np.linalg.norm(b - b.conj().T, 2)
-    if herm > HERM_TOL * max(1.0, np.linalg.norm(b, 2)):
-        found.append({"n": n, "kind": "non_hermitian_B", "value": float(herm)})
-    return found
-
-
-def _check_pair(a: np.ndarray, b: np.ndarray, n: int) -> None:
-    found = _pair_violations(a, b, n)
-    if found:
-        what = "singular A" if found[0]["kind"] == "singular_A" else "non-Hermitian B"
-        raise ParamsError(f"{what} at n={n}", found)
+    herm = np.linalg.norm(b - b.conj().transpose(0, 2, 1), 2, axis=(1, 2))
+    singular = sv[:, -1] <= SINGULAR_TOL * np.maximum(1.0, sv[:, 0])
+    skew = herm > HERM_TOL * np.maximum(1.0, np.linalg.norm(b, 2, axis=(1, 2)))
+    return [{"n": first + int(k), "kind": kind, "value": float(value[k])}
+            for k in np.flatnonzero(singular | skew)
+            for kind, hit, value in (("singular_A", singular, sv[:, -1]),
+                                     ("non_hermitian_B", skew, herm)) if hit[k]]
 
 
 def validate_params(p: JacobiParams, n_max: int) -> dict:
     """Check det A_n != 0 and B_n = B_n* for n = 0..n_max.
 
     Violations are data, not errors: returns ``{"ok": bool, "violations": [...]}``
-    where each violation records the index, the kind and the offending scale.
-    A family whose rule rejects a pair contributes the records its
-    ``ParamsError`` carries; a finite family is checked up to its last block.
+    where each violation records the index, the kind and the offending scale,
+    as the store found them; a finite family is checked up to its last block.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    violations = []
-    for n in range(n_max + 1):
-        try:
-            violations += _pair_violations(*p.blocks(n), n)
-        except IndexError:
-            break
-        except ParamsError as exc:
-            if not exc.violations:
-                raise
-            violations += exc.violations
+    with contextlib.suppress(ParamsError, IndexError):  # reported below; a finite family ends
+        p.stack(n_max + 1)
+    violations = [v for v in p._bad if v["n"] <= n_max]
     return {"ok": not violations, "violations": violations}
 
 
@@ -272,8 +288,9 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
     if name == "constant":
         a = _as_block(np.asarray(knobs["A"], dtype=complex), d)
         b = _as_block(np.asarray(knobs["B"], dtype=complex), d)
-        _check_pair(a, b, 0)
-        return JacobiParams(d, lambda n: (a, b), family_tag="constant", bounded=True)
+        p = JacobiParams(d, lambda n: (a, b), family_tag="constant", bounded=True)
+        p.stack(1)  # a bad pair fails here, as the family is built
+        return p
 
     if name == "diagonal":
         comps = knobs["components"]
@@ -285,7 +302,6 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
         def rule(n):
             a = np.diag([r(n) for r in a_rules]).astype(complex)
             b = np.diag([r(n) for r in b_rules]).astype(complex)
-            _check_pair(a, b, n)
             return a, b
 
         bounded = all(np.isscalar(c["a"]) and np.isscalar(c["b"]) for c in comps)
@@ -298,11 +314,9 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
         if not a_period or not b_period:
             raise ParamsError("A_period and B_period must be non-empty")
 
-        def rule(n):
-            a = a_period[n % len(a_period)] * (n + 1) ** growth
-            b = b_period[n % len(b_period)]
-            _check_pair(a, b, n)
-            return a, b
+        def rule(n):  # an overflowing scale gives a non-finite block, named by the store
+            return (a_period[n % len(a_period)] * np.float64(n + 1) ** growth,
+                    b_period[n % len(b_period)])
 
         return JacobiParams(d, rule, family_tag="periodic_modulated", bounded=(growth == 0.0))
 
@@ -312,15 +326,15 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
         if not a_list or len(a_list) != len(b_list):
             raise ParamsError(f"explicit family needs as many A as B blocks and at least one, "
                               f"got {len(a_list)} and {len(b_list)}")
-        for n, (a, b) in enumerate(zip(a_list, b_list)):
-            _check_pair(a, b, n)
 
         def rule(n):
             if n >= len(a_list):
                 raise IndexError(f"explicit family materialized beyond its {len(a_list)} listed blocks")
             return a_list[n], b_list[n]
 
-        return JacobiParams(d, rule, family_tag="explicit", bounded=True)
+        p = JacobiParams(d, rule, family_tag="explicit", bounded=True)
+        p.stack(len(a_list))
+        return p
 
     raise ParamsError(f"unknown family {name!r}")
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import JacobiParams, make_family, validate_params
+from .blockcore import HORIZON_CAP, JacobiParams, make_family, validate_params
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import compute_PQ
-from .subordinacy import HORIZON_CAP, HorizonExhausted, jl_function, nonsub_diagnostic
+from .subordinacy import HorizonExhausted, jl_function, nonsub_diagnostic
 from .transfer import lo_residual, omega_identity_residual, transfer_nstep, transfer_step
 from .weyl import _check_ladder, boundary_scan, default_n_rule, weyl_resolvent, weyl_schur
 
@@ -187,16 +187,16 @@ def parse_config(config: str | dict) -> RunConfig:
             raise ConfigError(f"{where} must be >= 1")
     if cfg.cap <= 0 or cfg.n_rule_C <= 0:
         raise ConfigError("tolerances and caps must be positive")
-    # cost bounds on the walks
+    # cost bounds on the walks, located here; the block store enforces the same
+    # integer cap, so ceil(n_rule_C/eps) > cap iff n_rule_C/eps > cap, and
+    # G_t's floor(t) + 1 blocks exceed it iff t >= cap
     eps = min(cfg.eps_ladder)
-    with _located("eps_ladder"):  # ceil() of an infinite n_rule_C/eps overflows
-        if (cfg.command in ("weyl-scan", "report")
-                and default_n_rule(eps, cfg.n_rule_C) > HORIZON_CAP):
-            raise ConfigError(f"eps_ladder: eps = {eps!r} needs N above the cap of "
-                              f"{HORIZON_CAP} blocks")
-    if cfg.command == "nonsub" and cfg.t_grid[0] > HORIZON_CAP:
-        raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r} is above the cap of "
+    if cfg.command in ("weyl-scan", "report") and cfg.n_rule_C / eps > HORIZON_CAP:
+        raise ConfigError(f"eps_ladder: eps = {eps!r} needs N above the cap of "
                           f"{HORIZON_CAP} blocks")
+    if cfg.command == "nonsub" and cfg.t_grid[0] >= HORIZON_CAP:
+        raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r} is above the cap of "
+                          f"{HORIZON_CAP} blocks (G_t needs floor(t) + 1)")
     cfg.params()  # semantic gate: family blocks must satisfy the invariants
     return cfg
 

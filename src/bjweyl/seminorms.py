@@ -40,28 +40,25 @@ def affine_interp(f, t: float, start: int = 0) -> float:
     return float(f[i]) + frac * (float(f[i + 1]) - float(f[i]))
 
 
-def _term_sq(x, kind: SeminormKind) -> np.float64:
-    # numpy scalars: an overflowing square is inf, not an OverflowError
-    if kind is SeminormKind.vector_norm:
-        return np.vdot(x, x).real
-    if kind is SeminormKind.matrix_norm:
-        return np.linalg.norm(x, 2) ** 2
-    if kind is SeminormKind.matrix_minmod:
-        return np.linalg.svd(x, compute_uv=False)[-1] ** 2
-    raise ValueError(kind)
-
-
 def seminorm_nodes(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, n2: int) -> np.ndarray:
     """Squared partial sums at integer nodes n1..n2 (cumulative term functionals).
 
-    A partial sum beyond the double range is ``inf``.
+    The terms are evaluated in one batched call and are zero beyond the
+    stored range.  A partial sum beyond the double range is ``inf``.
     """
     if (x.terms.ndim == 2) != (kind is SeminormKind.vector_norm):
         raise ValueError("vector_norm applies to vector sequences, the matrix "
                          "variants to matrix sequences")
-    with np.errstate(over="ignore"):
-        sq = np.array([_term_sq(x.term(k), kind) for k in range(n1, n2 + 1)])
-        return np.cumsum(sq)
+    if n1 < x.start:
+        raise IndexError(f"index {n1} below start {x.start}")
+    t = x.terms[n1 - x.start:n2 - x.start + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is SeminormKind.vector_norm:
+            sq = (t.conj()[:, None, :] @ t[:, :, None])[:, 0, 0].real
+        else:  # float_power squares with C pow, elementwise, as scalar ** 2 does
+            sv = np.linalg.svd(t, compute_uv=False)
+            sq = np.float_power(sv[:, 0] if kind is SeminormKind.matrix_norm else sv[:, -1], 2)
+        return np.cumsum(np.concatenate([sq, np.zeros(max(0, n2 - n1 + 1 - len(sq)))]))
 
 
 def _seminorm_to(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, t: float):

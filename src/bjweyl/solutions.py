@@ -54,23 +54,22 @@ class PolyPair:
     n_max: int
 
 
-def _a_prev_adj(p: JacobiParams, n: int) -> np.ndarray:
-    """A_{n-1}* with the a-priori choice A_{-1} = -I."""
+def _a_prev_adj(a: np.ndarray, n: int) -> np.ndarray:
+    """A_{n-1}* from the stacked A blocks, with the a-priori choice A_{-1} = -I."""
     if n == 0:
-        return -np.eye(p.d, dtype=complex)
-    return p.A(n - 1).conj().T
+        return -np.eye(a.shape[-1], dtype=complex)
+    return a[n - 1].conj().T
 
 
 def _steps(p: JacobiParams, z: complex, c_prev: np.ndarray, c_cur: np.ndarray,
            first_n: int, n_max: int) -> list[np.ndarray]:
     """Run the forward recurrence; c_prev/c_cur sit at indices first_n-1, first_n."""
-    d = p.d
-    eye = np.eye(d, dtype=complex)
+    eye, (a, b) = np.eye(p.d, dtype=complex), p.stack(n_max)
     out = [c_prev, c_cur]
     prev, cur = c_prev, c_cur
     for n in range(first_n, n_max):
-        rhs = (z * eye - p.B(n)) @ cur - _a_prev_adj(p, n) @ prev
-        nxt = p.solve_A(n, rhs)
+        rhs = (z * eye - b[n]) @ cur - _a_prev_adj(a, n) @ prev
+        nxt = np.linalg.solve(a[n], rhs)
         out.append(nxt)
         prev, cur = cur, nxt
     return out
@@ -166,10 +165,10 @@ def recurrence_residual(p: JacobiParams, z: complex, seq) -> float:
     solutions can grow exponentially.
     """
     first = 0 if seq.start == -1 else 1
-    worst = 0.0
+    worst, (a, b) = 0.0, p.stack(seq.last_index)
     for n in range(first, seq.last_index):
-        lhs = (p.B(n) @ seq.term(n) + p.A(n) @ seq.term(n + 1)
-               + _a_prev_adj(p, n) @ seq.term(n - 1))
+        lhs = (b[n] @ seq.term(n) + a[n] @ seq.term(n + 1)
+               + _a_prev_adj(a, n) @ seq.term(n - 1))
         res = np.linalg.norm(lhs - z * seq.term(n))
         scale = max(1.0, *(np.linalg.norm(seq.term(m)) for m in (n - 1, n, n + 1) if m >= seq.start))
         worst = max(worst, res / scale)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcore import JacobiParams
+from .blockcore import HORIZON_CAP, JacobiParams
 from .seminorms import SeminormKind, affine_interp, seminorm_nodes
 from .solutions import compute_PQ
 from .transfer import _chain, _step
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 HORIZON_START = 64
-HORIZON_CAP = 2 ** 20
 DEFAULT_COND_CAP = 1e3
 
 

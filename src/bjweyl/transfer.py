@@ -25,18 +25,19 @@ __all__ = [
 
 def _step(p: JacobiParams, z: complex, n: int) -> np.ndarray:
     """T_n(z) = [[0, I], [-A_n^{-1} A_{n-1}*, A_n^{-1}(zI - B_n)]]."""
-    d = p.d
+    d, (a, b) = p.d, p.stack(n + 1)
     eye = np.eye(d, dtype=complex)
     t = np.zeros((2 * d, 2 * d), dtype=complex)
     t[:d, d:] = eye
-    t[d:, :d] = -p.solve_A(n, _a_prev_adj(p, n))
-    t[d:, d:] = p.solve_A(n, z * eye - p.B(n))
+    t[d:, :d] = -np.linalg.solve(a[n], _a_prev_adj(a, n))
+    t[d:, d:] = np.linalg.solve(a[n], z * eye - b[n])
     return t
 
 
 def _chain(step, p: JacobiParams, z: complex, n: int):
     """Yield the running products S_0, S_1 S_0, ..., S_{n-1} ... S_0 of S_k = step(p, z, k)."""
     r = None
+    p.stack(n)  # the chain's blocks enter the store, checked, in one slab
     for k in range(n):
         r = step(p, z, k) if r is None else step(p, z, k) @ r
         yield r
@@ -50,12 +51,12 @@ def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    d = p.d
+    d, (a, b) = p.d, p.stack(n + 1)
     eye = np.eye(d, dtype=complex)
     t_inv = np.zeros((2 * d, 2 * d), dtype=complex)
-    a_prev_inv = np.linalg.inv(_a_prev_adj(p, n))
-    t_inv[:d, :d] = a_prev_inv @ (z * eye - p.B(n))
-    t_inv[:d, d:] = -a_prev_inv @ p.A(n)
+    a_prev_inv = np.linalg.inv(_a_prev_adj(a, n))
+    t_inv[:d, :d] = a_prev_inv @ (z * eye - b[n])
+    t_inv[:d, d:] = -a_prev_inv @ a[n]
     t_inv[d:, :d] = eye
     return {"T": _step(p, z, n), "T_inv": t_inv}
 
@@ -84,12 +85,12 @@ def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
 
 def _tilde_step(p: JacobiParams, z: complex, n: int) -> np.ndarray:
     """K_n T_n(z) K_{n-1}^{-1} = [[0, A_n*], [-A_n^{-1}, A_n^{-1}(zI - B_n)]]."""
-    d = p.d
+    d, (a, b) = p.d, p.stack(n + 1)
     eye = np.eye(d, dtype=complex)
     t = np.zeros((2 * d, 2 * d), dtype=complex)
-    t[:d, d:] = p.A(n).conj().T
-    t[d:, :d] = -p.solve_A(n, eye)
-    t[d:, d:] = p.solve_A(n, z * eye - p.B(n))
+    t[:d, d:] = a[n].conj().T
+    t[d:, :d] = -np.linalg.solve(a[n], eye)
+    t[d:, d:] = np.linalg.solve(a[n], z * eye - b[n])
     return t
 
 

@@ -63,15 +63,12 @@ def finite_section(p: JacobiParams, N: int) -> FiniteSection:
     """Dense Hermitian truncation with diagonal blocks B_0..B_{N-1}."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    d = p.d
-    h = np.zeros((N * d, N * d), dtype=complex)
-    for n in range(N):
-        h[n * d:(n + 1) * d, n * d:(n + 1) * d] = p.B(n)
-        if n + 1 < N:
-            a = p.A(n)
-            h[n * d:(n + 1) * d, (n + 1) * d:(n + 2) * d] = a
-            h[(n + 1) * d:(n + 2) * d, n * d:(n + 1) * d] = a.conj().T
-    return FiniteSection(N, h)
+    d, (a, b), n = p.d, p.stack(N), np.arange(N)
+    h = np.zeros((N, d, N, d), dtype=complex)  # h[m, :, n, :] is block (m, n)
+    h[n, :, n, :] = b
+    h[n[:-1], :, n[1:], :] = a[:-1]
+    h[n[1:], :, n[:-1], :] = a[:-1].conj().transpose(0, 2, 1)
+    return FiniteSection(N, h.reshape(N * d, N * d))
 
 
 def _banded_shifted(p: JacobiParams, z: complex, N: int) -> np.ndarray:
@@ -79,16 +76,14 @@ def _banded_shifted(p: JacobiParams, z: complex, N: int) -> np.ndarray:
 
     Entry (r, c) of H - zI sits at ab[bw + r - c, c].
     """
-    d = p.d
+    d, (a, b) = p.d, p.stack(N)
     bw = 2 * d - 1
     ab = np.zeros((2 * bw + 1, N * d), dtype=complex)
     i, j = np.indices((d, d))
-    for n in range(N):
-        ab[bw + i - j, n * d + j] = p.B(n) - z * np.eye(d)
-        if n + 1 < N:
-            a = p.A(n)
-            ab[bw + i - j - d, (n + 1) * d + j] = a
-            ab[bw + i - j + d, n * d + j] = a.conj().T
+    col = np.arange(N)[:, None, None] * d + j  # column of entry (i, j) in block column n
+    ab[bw + i - j, col] = b - z * np.eye(d)
+    ab[bw + i - j - d, col[1:]] = a[:-1]
+    ab[bw + i - j + d, col[:-1]] = a[:-1].conj().transpose(0, 2, 1)
     return ab
 
 
@@ -116,14 +111,12 @@ def weyl_schur(p: JacobiParams, z: complex, N: int) -> WeylSample:
     G_{N-1} = (B_{N-1} - zI)^{-1}, G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1};
     equal to the resolvent route at the same N up to rounding.
     """
-    d = p.d
-    eye = np.eye(d, dtype=complex)
+    eye, (a, b) = np.eye(p.d, dtype=complex), p.stack(N)
     k = N - 1
     try:
-        g = np.linalg.inv(p.B(k) - z * eye)
+        g = np.linalg.inv(b[k] - z * eye)
         for k in range(N - 2, -1, -1):
-            a = p.A(k)
-            g = np.linalg.inv(p.B(k) - z * eye - a @ g @ a.conj().T)
+            g = np.linalg.inv(b[k] - z * eye - a[k] @ g @ a[k].conj().T)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular Schur pivot at block {k}: z too close to the section spectrum"

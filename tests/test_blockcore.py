@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bjweyl.blockcore import (
     BlockVecSeq,
@@ -115,3 +116,79 @@ def test_lu_solve_matches_direct(rng):
     rhs = rng.standard_normal((3, 3))
     np.testing.assert_allclose(p.solve_A(4, rhs),
                                np.linalg.solve(p.A(4), rhs), atol=1e-12)
+
+
+def _pair(n, d, bad=None):
+    """A valid pair at index n, or one broken as ``bad`` names."""
+    a = np.eye(d) * (1.0 + n / 7) + np.triu(np.full((d, d), 0.25), 1)
+    h = np.triu(np.full((d, d), 0.3j), 1)
+    b = np.diag(np.arange(d) - n / 5).astype(complex) + h + h.conj().T
+    if bad in ("singular_A", "both"):
+        a[:, 0] = 0.0
+    if bad in ("non_hermitian_B", "both"):
+        b = b + 0.5j * np.eye(d)
+    return a, b
+
+
+def _oracle(a, b, n):
+    """The records of one pair, checked on its own."""
+    found = []
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] <= 1e-10 * max(1.0, sv[0]):
+        found.append({"n": n, "kind": "singular_A", "value": float(sv[-1])})
+    herm = np.linalg.norm(b - b.conj().T, 2)
+    if herm > 1e-10 * max(1.0, np.linalg.norm(b, 2)):
+        found.append({"n": n, "kind": "non_hermitian_B", "value": float(herm)})
+    return found
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), n_max=st.integers(0, 40), N=st.integers(0, 41),
+       bad=st.dictionaries(st.integers(0, 40),
+                           st.sampled_from(["singular_A", "non_hermitian_B", "both"]),
+                           max_size=4))
+def test_store_checks_each_block_once_against_a_per_block_oracle(d, n_max, N, bad):
+    calls = []
+
+    def rule(n):
+        calls.append(n)
+        return _pair(n, d, bad.get(n))
+
+    oracle = [v for n in range(n_max + 1) for v in _oracle(*_pair(n, d, bad.get(n)), n)]
+    assert validate_params(JacobiParams(d, rule), n_max)["violations"] == oracle
+    calls.clear()
+    p = JacobiParams(d, rule)
+    lowest = min((n for n in bad if n < N), default=None)
+    if lowest is None:
+        a, b = p.stack(N)
+        assert a.shape == b.shape == (N, d, d)
+        assert all(np.array_equal(a[n], _pair(n, d)[0]) and np.array_equal(b[n], _pair(n, d)[1])
+                   for n in range(N))
+    else:
+        what = "non-Hermitian B" if bad[lowest] == "non_hermitian_B" else "singular A"
+        with pytest.raises(ParamsError, match=f"^{what} at n={lowest}$"):
+            p.stack(N)
+    assert calls == list(range(N))
+
+
+def test_store_grows_in_slabs_and_calls_the_rule_once_per_index(rng):
+    source = random_bounded_params(rng, 2)
+    calls = []
+    p = JacobiParams(2, lambda n: calls.append(n) or source.rule(n))
+    p.stack(3)
+    p.stack(10)
+    a25 = p.A(25)
+    a, b = JacobiParams(2, source.rule).stack(26)
+    assert calls == list(range(26))
+    assert np.array_equal(a25, a[25])
+    assert np.array_equal(p.stack(26)[0], a) and np.array_equal(p.stack(26)[1], b)
+    assert calls == list(range(26))
+
+
+def test_a_misshapen_or_non_finite_block_names_its_index():
+    def rule(bad_n, a_bad):
+        return lambda n: (a_bad if n == bad_n else np.eye(2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^block at n=2 contains non-finite entries$"):
+        JacobiParams(2, rule(2, np.full((2, 2), np.nan))).stack(5)
+    with pytest.raises(ValueError, match=r"^expected a 2x2 block at n=3, got shape \(3, 3\)$"):
+        JacobiParams(2, rule(3, np.eye(3))).stack(5)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,10 @@ FREE = {"name": "free", "d": 1}
      "eps_ladder: eps = 1e-300 needs N above the cap"),
     ({"command": "nonsub", "t_grid": {"max": 1e12, "steps": 4}}, [],
      "t_grid: max = 1000000000000.0 is above the cap"),
+    ({"command": "report", "eps_ladder": [1e-320]}, [],
+     "eps_ladder: eps = 1e-320 needs N above the cap"),
+    ({"command": "nonsub", "t_grid": {"max": 2 ** 20, "steps": 4}}, [],
+     "t_grid: max = 1048576.0 is above the cap"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
@@ -311,3 +316,14 @@ def test_a_failed_lambda_carries_its_reason(tmp_path):
                  "--out", str(report)]) == 0
     points = [r for r in read_rows(report) if r["kind"] == "point"]
     assert points and all(r["note"].startswith("singular A") for r in points)
+
+
+@pytest.mark.parametrize("command", ["validate", "measure"])
+def test_an_overflowing_block_names_its_index(tmp_path, capsys, command):
+    # A_5 = 6**400 overflows; no numpy warning may reach stderr on the way
+    config = write_config(tmp_path, **{**_FLAG_BASE, "N": 10, "command": command,
+                                       "family": _FAILING_FAMILIES["growth_400"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", config, "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == "config error: family: block at n=5 contains non-finite entries\n"

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from bjweyl.blockcore import BlockMatSeq, BlockVecSeq, make_family
-from bjweyl.seminorms import SeminormKind, affine_interp, quotient_brackets, seminorm
+from bjweyl.seminorms import (
+    SeminormKind,
+    affine_interp,
+    quotient_brackets,
+    seminorm,
+    seminorm_nodes,
+)
 from bjweyl.solutions import compute_PQ
 
 
@@ -147,3 +153,29 @@ def test_quotient_brackets_are_the_seminorm_ratios(rng, kind):
         out = quotient_brackets(x, y, kind, 0, t)
         assert out["value"] == seminorm(x, kind, 0, t) / seminorm(y, kind, 0, t)
         assert (out["lower"], out["upper"]) == (min(ratios), max(ratios))
+
+
+@pytest.mark.parametrize("kind", list(SeminormKind))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_nodes_equal_the_per_term_loop(rng, kind, d):
+    # the reference is the per-term loop the batched call replaced, term by term
+    # and summed; it may give NaN where the batched sum gives inf, so only
+    # finite values must agree
+    def term_sq(v):
+        if kind is SeminormKind.vector_norm:
+            return np.vdot(v, v).real
+        sv = np.linalg.svd(v, compute_uv=False)
+        return (sv[0] if kind is SeminormKind.matrix_norm else sv[-1]) ** 2
+
+    n = 100
+    shape = (n, d) if kind is SeminormKind.vector_norm else (n, d, d)
+    seq = BlockVecSeq if kind is SeminormKind.vector_norm else BlockMatSeq
+    for scale in (1.0, 1e100, 1e160):
+        x = seq((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale, start=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.array([term_sq(x.term(k)) for k in range(n + 3)])
+        one_by_one = np.array([seminorm_nodes(x, kind, k, k)[0] for k in range(n + 3)])
+        for got, want in ((one_by_one, terms), (seminorm_nodes(x, kind, 0, n + 2), np.cumsum(terms))):
+            finite = np.isfinite(want)
+            assert np.array_equal(got[finite], want[finite])
+            assert not np.isfinite(got[~finite]).any()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bjweyl.blockcore import make_family
+from bjweyl.blockcore import HORIZON_CAP, JacobiParams, ParamsError, make_family
 from bjweyl.solutions import columns_as_gev_check, decompose
 from bjweyl.weyl import (
     boundary_scan,
@@ -15,6 +15,7 @@ from bjweyl.weyl import (
     weyl_schur,
     weyl_solution,
 )
+from bjweyl.subordinacy import gram_nodes
 from conftest import random_bounded_params
 
 FREE_W_2I = 1j * (math.sqrt(2.0) - 1.0)
@@ -167,3 +168,22 @@ def test_gev_l2_dimension_diagonal():
                     components=[{"a": 1.0, "b": 0.0}, {"a": 1.0, "b": 0.5}])
     out = gev_l2_dimension(p, 2j, 32)
     assert out["dim_estimate"] == 2  # = d, the upper bound off the real axis
+
+
+def test_weyl_schur_checks_the_blocks_of_a_user_rule():
+    # before the store checked every family, this returned W = 0.667i
+    p = JacobiParams(1, lambda n: (np.zeros((1, 1)) if n == 2 else np.eye(1), np.zeros((1, 1))))
+    with pytest.raises(ParamsError, match="^singular A at n=2$"):
+        weyl_schur(p, 1j, 5)
+
+
+def test_walks_above_the_block_cap_raise_before_calling_the_rule():
+    calls = []
+    p = JacobiParams(1, lambda n: calls.append(n) or (np.eye(1), np.zeros((1, 1))))
+    with pytest.raises(ValueError, match=f"above the cap of {HORIZON_CAP} blocks"):
+        weyl_schur(p, 0.1j, HORIZON_CAP + 1)
+    with pytest.raises(ValueError, match=f"above the cap of {HORIZON_CAP} blocks"):
+        gram_nodes(p, 0.1, [float(HORIZON_CAP)])
+    scan = boundary_scan(p, [0.0], [1e-300])
+    assert "above the cap" in scan.rows[0]["error"]
+    assert calls == []
