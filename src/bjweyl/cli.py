@@ -185,15 +185,13 @@ def parse_config(config: str | dict) -> RunConfig:
                          ("lambda.steps", cfg.lambda_grid[2]), ("t_grid.steps", cfg.t_grid[1])):
         if count < 1:
             raise ConfigError(f"{where} must be >= 1")
-    if cfg.cap <= 0 or cfg.n_rule_C <= 0:
+    if not (cfg.cap > 0 and cfg.n_rule_C > 0):  # NaN fails too
         raise ConfigError("tolerances and caps must be positive")
     # cost bounds on the walks, located here; the block store enforces the same
-    # integer cap, so ceil(n_rule_C/eps) > cap iff n_rule_C/eps > cap, and
-    # G_t's floor(t) + 1 blocks exceed it iff t >= cap
-    eps = min(cfg.eps_ladder)
-    if cfg.command in ("weyl-scan", "report") and cfg.n_rule_C / eps > HORIZON_CAP:
-        raise ConfigError(f"eps_ladder: eps = {eps!r} needs N above the cap of "
-                          f"{HORIZON_CAP} blocks")
+    # integer cap, and G_t's floor(t) + 1 blocks exceed it iff t >= cap
+    if cfg.command in ("weyl-scan", "report"):
+        with _located("eps_ladder"):
+            default_n_rule(min(cfg.eps_ladder), cfg.n_rule_C)
     if cfg.command == "nonsub" and cfg.t_grid[0] >= HORIZON_CAP:
         raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r} is above the cap of "
                           f"{HORIZON_CAP} blocks (G_t needs floor(t) + 1)")

@@ -62,17 +62,23 @@ def _a_prev_adj(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def _steps(p: JacobiParams, z: complex, c_prev: np.ndarray, c_cur: np.ndarray,
-           first_n: int, n_max: int) -> list[np.ndarray]:
-    """Run the forward recurrence; c_prev/c_cur sit at indices first_n-1, first_n."""
+           first_n: int, n_max: int) -> np.ndarray:
+    """The stacked terms of the forward recurrence from c_prev/c_cur at indices
+    first_n-1, first_n; an overflow raises a ValueError naming the first bad n."""
     eye, (a, b) = np.eye(p.d, dtype=complex), p.stack(n_max)
     out = [c_prev, c_cur]
     prev, cur = c_prev, c_cur
-    for n in range(first_n, n_max):
-        rhs = (z * eye - b[n]) @ cur - _a_prev_adj(a, n) @ prev
-        nxt = np.linalg.solve(a[n], rhs)
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        for n in range(first_n, n_max):
+            rhs = (z * eye - b[n]) @ cur - _a_prev_adj(a, n) @ prev
+            nxt = np.linalg.solve(a[n], rhs)
+            out.append(nxt)
+            prev, cur = cur, nxt
+    terms = np.stack(out)
+    bad = np.flatnonzero(~np.isfinite(terms.reshape(len(terms), -1)).all(axis=1))
+    if len(bad):
+        raise ValueError(f"recurrence overflows: term at n={first_n - 1 + bad[0]} is not finite")
+    return terms
 
 
 def solve_forward(p: JacobiParams, z: complex, init, mode: str = "from01",
@@ -90,14 +96,13 @@ def solve_forward(p: JacobiParams, z: complex, init, mode: str = "from01",
     c_a = np.asarray(init[0], dtype=complex).reshape(shape)
     c_b = np.asarray(init[1], dtype=complex).reshape(shape)
     if mode == "from01":
-        terms = _steps(p, z, c_a, c_b, first_n=1, n_max=n_max)
+        arr = _steps(p, z, c_a, c_b, first_n=1, n_max=n_max)
         start = 0
     elif mode == "from_minus1":
-        terms = _steps(p, z, c_a, c_b, first_n=0, n_max=n_max)
+        arr = _steps(p, z, c_a, c_b, first_n=0, n_max=n_max)
         start = -1
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    arr = np.stack(terms)
     if matrix:
         return MgevSolution(z, BlockMatSeq(arr, start=start))
     return GevSolution(z, BlockVecSeq(arr, start=start))

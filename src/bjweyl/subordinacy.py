@@ -74,8 +74,9 @@ def jl_function(p: JacobiParams, lam: float, eps: float,
     horizon = HORIZON_START
     while True:
         pn, qn = _pq_sq_nodes(p, lam, horizon, variant)
-        if math.sqrt(pn[-1] * qn[-1]) >= target:
-            break
+        with np.errstate(over="ignore"):  # an infinite product is past any target
+            if math.sqrt(pn[-1] * qn[-1]) >= target:
+                break
         if horizon >= HORIZON_CAP:
             raise HorizonExhausted(
                 f"seminorm product below {target:.6g} up to t = {horizon}")

@@ -109,7 +109,8 @@ def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     omega[d:, :d] = -np.eye(d)
     rt, rtb = (list(_chain(_tilde_step, p, w, n))[-1] for w in (z, np.conj(z)))
     s = rtb.conj().T @ omega @ rt
-    scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
+    with np.errstate(over="ignore"):  # an overflow to inf gives the same scale, max(1, inf)
+        scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
     return float(np.linalg.norm(omega - s, 2) / scale)
 
 

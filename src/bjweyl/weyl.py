@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .blockcore import BlockMatSeq, JacobiParams
+from .blockcore import HORIZON_CAP, BlockMatSeq, JacobiParams
 from .solutions import MgevSolution, solve_forward
 from .subordinacy import gev_l2_dimension
 
@@ -87,11 +87,11 @@ def _banded_shifted(p: JacobiParams, z: complex, N: int) -> np.ndarray:
     return ab
 
 
-def _herglotz_min_eig(z: complex, w: np.ndarray) -> float:
-    """Smallest eigenvalue of sign(Im z) * Im W, the Herglotz margin."""
-    im_w = (w - w.conj().T) / 2j
-    ev = np.linalg.eigvalsh(im_w)
-    return float(ev[0] if z.imag >= 0 else -ev[-1])
+def _herglotz_min_eig(z, w: np.ndarray):
+    """Smallest eigenvalue of sign(Im z) * Im W, the Herglotz margin; per z for an array z."""
+    ev = np.linalg.eigvalsh((w - np.swapaxes(w.conj(), -1, -2)) / 2j)
+    margin = np.where(np.imag(z) >= 0, ev[..., 0], -ev[..., -1])
+    return float(margin) if np.ndim(z) == 0 else margin
 
 
 def weyl_resolvent(p: JacobiParams, z: complex, N: int) -> WeylSample:
@@ -105,18 +105,20 @@ def weyl_resolvent(p: JacobiParams, z: complex, N: int) -> WeylSample:
                       {"herglotz_min_eig": _herglotz_min_eig(z, w)})
 
 
-def weyl_schur(p: JacobiParams, z: complex, N: int) -> WeylSample:
+def weyl_schur(p: JacobiParams, z, N: int) -> WeylSample:
     """W = G_0 from the backward Schur-complement recursion.
 
     G_{N-1} = (B_{N-1} - zI)^{-1}, G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1};
-    equal to the resolvent route at the same N up to rounding.
+    equal to the resolvent route at the same N up to rounding.  An array z is
+    one sweep for all its values: W is a z.shape + (d, d) stack, each entry
+    bit-identical to the call at that z alone; a singular pivot at any z raises.
     """
-    eye, (a, b) = np.eye(p.d, dtype=complex), p.stack(N)
+    zi, (a, b) = np.multiply.outer(z, np.eye(p.d, dtype=complex)), p.stack(N)
     k = N - 1
     try:
-        g = np.linalg.inv(b[k] - z * eye)
+        g = np.linalg.inv(b[k] - zi)
         for k in range(N - 2, -1, -1):
-            g = np.linalg.inv(b[k] - z * eye - a[k] @ g @ a[k].conj().T)
+            g = np.linalg.inv(b[k] - zi - a[k] @ g @ a[k].conj().T)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular Schur pivot at block {k}: z too close to the section spectrum"
@@ -178,8 +180,12 @@ def energy_identity_gap(p: JacobiParams, z: complex, N: int, v) -> dict:
 
 
 def default_n_rule(eps: float, C: float = 50.0) -> int:
-    """Truncation size N(eps) = ceil(C/eps)."""
-    return max(1, math.ceil(C / eps))
+    """Truncation size N(eps) = ceil(C/eps); ValueError if it exceeds
+    HORIZON_CAP, which is an integer, so ceil(C/eps) > cap iff C/eps > cap."""
+    n = float(C) / float(eps)
+    if n > HORIZON_CAP:
+        raise ValueError(f"eps = {float(eps)!r} needs N above the cap of {HORIZON_CAP} blocks")
+    return max(1, math.ceil(n))
 
 
 def _check_ladder(eps_ladder) -> np.ndarray:
@@ -227,30 +233,38 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
                   n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
-    A failed rung is recorded as a row with its error message rather than
-    raised, and its lambda as undecided with the first such message; rows are
-    in grid order, deterministic.
+    Each rung is one Schur sweep over the whole lambda grid, redone one lambda
+    at a time if it raises.  A failed (lambda, eps) is recorded as a row with
+    its error message rather than raised, and its lambda as undecided with the
+    first such message; rows are in grid order, deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     eps_ladder = _check_ladder(eps_ladder)
+    rungs = []  # per eps: the grid's stack of W, or None where the sweep raised
+    for eps in eps_ladder if len(lambda_grid) else ():
+        try:
+            rungs.append(weyl_schur(p, np.array([complex(lam, eps) for lam in lambda_grid]),
+                                    n_rule(eps)).W)
+        except (ArithmeticError, ValueError, IndexError):
+            rungs.append(None)
     rows = []
     classification = []
-    for lam in lambda_grid:
+    for i, lam in enumerate(lambda_grid):
         ws, tr_im, errors = [], [], []
-        for eps in eps_ladder:
+        for eps, rung in zip(eps_ladder, rungs):
             try:
-                sample = weyl_schur(p, complex(lam, eps), n_rule(eps))
+                w = weyl_schur(p, complex(lam, eps), n_rule(eps)).W if rung is None else rung[i]
             except (ArithmeticError, ValueError, IndexError) as exc:
                 errors.append(str(exc))
                 rows.append({"lambda": float(lam), "eps": float(eps),
                              "W": None, "tr_im": math.nan, "error": errors[-1]})
                 continue
-            im_w = (sample.W - sample.W.conj().T) / 2j
+            im_w = (w - w.conj().T) / 2j
             t = float(np.trace(im_w).real)
-            ws.append(sample.W)
+            ws.append(w)
             tr_im.append(t)
             rows.append({"lambda": float(lam), "eps": float(eps),
-                         "W": sample.W, "tr_im": t, "error": ""})
+                         "W": w, "tr_im": t, "error": ""})
         if errors or len(ws) < 2:
             classification.append({"label": "undecided", "rank": None, "density": None,
                                    "error": errors[0] if errors else ""})

@@ -225,6 +225,7 @@ FREE = {"name": "free", "d": 1}
      "eps_ladder: eps = 1e-320 needs N above the cap"),
     ({"command": "nonsub", "t_grid": {"max": 2 ** 20, "steps": 4}}, [],
      "t_grid: max = 1048576.0 is above the cap"),
+    ({"command": "weyl-scan", "n_rule_C": math.nan}, [], "tolerances and caps must be positive"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
@@ -327,3 +328,19 @@ def test_an_overflowing_block_names_its_index(tmp_path, capsys, command):
         warnings.simplefilter("error")
         assert main(["--config", config, "--out", str(tmp_path / "o.csv")]) == 1
     assert capsys.readouterr().err == "config error: family: block at n=5 contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("command, knobs, code, err", [
+    ("transfer-check", {"family": _FAILING_FAMILIES["growth_400"], "k_max": 6}, 0, ""),
+    ("polys", {"z": [30.0, 0.0], "n_max": 400}, 1,
+     "config error: family: recurrence overflows: term at n=209 is not finite\n"),
+    ("jl", {"lambda": {"min": 30.0, "max": 30.0, "steps": 1}}, 0, ""),
+])
+def test_overflow_reaches_stderr_only_as_a_located_message(tmp_path, capsys, command, knobs,
+                                                          code, err):
+    # P_n(30) overflows near n = 209, R~ of growth 400 near k = 5; no numpy warning may leak
+    config = write_config(tmp_path, **{**_FLAG_BASE, "command": command, **knobs})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", config, "--out", str(tmp_path / "o.csv")]) == code
+    assert capsys.readouterr().err == err

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import bjweyl.weyl
 from bjweyl.blockcore import HORIZON_CAP, JacobiParams, ParamsError, make_family
 from bjweyl.solutions import columns_as_gev_check, decompose
 from bjweyl.weyl import (
@@ -14,6 +16,7 @@ from bjweyl.weyl import (
     weyl_resolvent,
     weyl_schur,
     weyl_solution,
+    _classify,
 )
 from bjweyl.subordinacy import gram_nodes
 from conftest import random_bounded_params
@@ -187,3 +190,93 @@ def test_walks_above_the_block_cap_raise_before_calling_the_rule():
     scan = boundary_scan(p, [0.0], [1e-300])
     assert "above the cap" in scan.rows[0]["error"]
     assert calls == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_array_z_schur_equals_the_scalar_calls(rng, d):
+    p = random_bounded_params(rng, d)
+    z = rng.uniform(-3, 3, 8) + 1j * np.array([0.5, -0.3, 0.01, -0.01, 1.0, -2.0, 0.2, -0.7])
+    for zs in (z, z.reshape(2, 4)):
+        batch = weyl_schur(p, zs, 40)
+        assert batch.W.shape == zs.shape + (d, d)
+        for idx in np.ndindex(zs.shape):
+            one = weyl_schur(p, complex(zs[idx]), 40)
+            assert np.array_equal(batch.W[idx], one.W)
+            assert type(one.diagnostics["herglotz_min_eig"]) is float
+            assert batch.diagnostics["herglotz_min_eig"][idx] == one.diagnostics["herglotz_min_eig"]
+
+
+def test_array_z_schur_raises_the_scalar_message_at_a_singular_pivot():
+    p = make_family("free", 1)  # z = 1 is an eigenvalue of the 2-block section
+    with pytest.raises(np.linalg.LinAlgError) as scalar:
+        weyl_schur(p, 1 + 0j, 2)
+    with pytest.raises(np.linalg.LinAlgError) as batch:
+        weyl_schur(p, np.array([2j, 1 + 0j, 0.5 - 1j]), 2)
+    assert str(batch.value) == str(scalar.value) == (
+        "singular Schur pivot at block 0: z too close to the section spectrum")
+
+
+def _scan_one_call_per_sample(p, lambda_grid, eps_ladder, n_rule):
+    """boundary_scan's rows and classification from one scalar weyl_schur call
+    per (lambda, eps)."""
+    rows, classification = [], []
+    for lam in lambda_grid:
+        ws, tr_im, errors = [], [], []
+        for eps in eps_ladder:
+            try:
+                w = weyl_schur(p, complex(lam, eps), n_rule(eps)).W
+            except (ArithmeticError, ValueError, IndexError) as exc:
+                errors.append(str(exc))
+                rows.append((lam, eps, None, math.nan, str(exc)))
+                continue
+            ws.append(w)
+            tr_im.append(float(np.trace((w - w.conj().T) / 2j).real))
+            rows.append((lam, eps, w, tr_im[-1], ""))
+        if errors or len(ws) < 2:
+            classification.append({"label": "undecided", "rank": None, "density": None,
+                                   "error": errors[0] if errors else ""})
+        else:
+            classification.append(_classify(ws, tr_im))
+    return rows, classification
+
+
+def _same(x, y):
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and np.array_equal(x, y)
+    return x == y or (x != x and y != y)  # NaN tr_im on both sides
+
+
+@pytest.mark.parametrize("case", ["short_explicit", "random_d1", "random_d2", "random_d3"])
+def test_boundary_scan_equals_one_schur_call_per_sample(rng, monkeypatch, case):
+    if case == "short_explicit":  # the deepest two rungs need more than the 3 listed blocks
+        p = make_family("explicit", 1, A=[[[1.0]]] * 3, B=[[[0.0]]] * 3)
+        grid, ladder, n_rule = np.linspace(-2, 2, 5), [1.0, 0.5, 0.25], lambda eps: round(3 / eps)
+    else:  # 96 random blocks: N = 80 fits, the last rung's N = 200 does not
+        p = random_bounded_params(rng, int(case[-1]))
+        grid, ladder = np.linspace(-3, 3, 7), [0.5, 0.2, 0.1, 0.05, 0.02]
+        n_rule = lambda eps: math.ceil(4 / eps)
+    calls = []
+    sweep = bjweyl.weyl.weyl_schur
+    monkeypatch.setattr(bjweyl.weyl, "weyl_schur", lambda *a: calls.append(a[1]) or sweep(*a))
+    scan = boundary_scan(p, grid, ladder, n_rule=n_rule)
+    rows, classification = _scan_one_call_per_sample(p, grid, ladder, n_rule)
+    got = [(r["lambda"], r["eps"], r["W"], r["tr_im"], r["error"]) for r in scan.rows]
+    assert len(got) == len(rows) == len(grid) * len(ladder)
+    assert all(_same(x, y) for g, r in zip(got, rows) for x, y in zip(g, r))
+    assert [c.keys() for c in scan.classification] == [c.keys() for c in classification]
+    assert all(_same(c[k], e[k]) for c, e in zip(scan.classification, classification) for k in c)
+    failed = 2 if case == "short_explicit" else 1
+    assert any(r[4] for r in rows)  # the per-lambda redo of each failed rung is exercised
+    assert len(calls) == len(ladder) + failed * len(grid)
+    assert all(np.shape(z) == grid.shape for z in calls[:len(ladder) - failed])
+
+
+def test_library_scan_past_the_cap_names_it_without_a_numpy_warning():
+    message = f"eps = 1e-320 needs N above the cap of {HORIZON_CAP} blocks"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = boundary_scan(make_family("free", 1), [0.0], [1e-320])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_n_rule(1e-320)
+    assert scan.rows[0]["error"] == scan.classification[0]["error"] == message
+    assert default_n_rule(50.0 / HORIZON_CAP) == HORIZON_CAP
