@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -112,14 +112,14 @@ def delta_seq(n: int, v, d: int | None = None) -> BlockVecSeq:
 class JacobiParams:
     """Block Jacobi parameters: a rule producing (A_n, B_n) for n >= 0.
 
-    ``rule(n)`` must return a pair of d x d arrays.  It is called once per
-    index, by ``stack``, which keeps the pairs in one array store; ``A(n)``,
-    ``B(n)`` and ``blocks(n)`` are views into it.
+    ``rule(n)`` must return a pair of d x d arrays (``make_family`` passes its
+    one rule).  It is called once per index, by ``stack``, which keeps the
+    pairs in one array store; ``A(n)``, ``B(n)`` and ``blocks(n)`` are views
+    into it.
     """
 
     d: int
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    family_tag: str = "explicit"
     bounded: bool = False  # uniformly bounded blocks => J self-adjoint
     _store: np.ndarray = field(init=False, repr=False, compare=False)  # (2, capacity, d, d)
     _n: int = field(default=0, init=False, repr=False, compare=False)  # indices stored
@@ -249,92 +249,76 @@ def cyclic_block_product(p: JacobiParams, k: int) -> np.ndarray:
 # Built-in parameter families
 # ---------------------------------------------------------------------------
 
-def _scalar_rule(values):
-    """Interpret a knob as a constant or an explicit list of scalars."""
-    if np.isscalar(values):
-        c = complex(values)
-        return lambda n: c
-    vals = [complex(v) for v in values]
-
-    def rule(n):
-        if n >= len(vals):
-            raise IndexError(f"scalar family materialized beyond its {len(vals)} listed terms")
-        return vals[n]
-
-    return rule
+FAMILY_KNOBS = {  # the knobs each built-in family reads, besides "name" and "d"
+    "free": set(),
+    "constant": {"A", "B"},
+    "diagonal": {"components"},
+    "periodic_modulated": {"A_period", "B_period", "growth"},
+    "explicit": {"A", "B"},
+}
 
 
 def make_family(name: str, d: int, **knobs) -> JacobiParams:
     """Construct a built-in parameter family.
 
+    Every family is a pair of block lists behind one rule,
+    (A_n, B_n) = (a_list[n % len(a_list)] * (n+1)**growth, b_list[n % len(b_list)]);
+    a finite family raises IndexError past its last listed block instead.
+
     free:                A_n = I, B_n = 0.
     constant:            fixed blocks (A, B).
     diagonal:            d scalar Jacobi families assembled on the diagonal;
                          knob ``components`` is a list of d dicts {"a": .., "b": ..}
-                         (constants or explicit lists).
+                         (constants or explicit lists).  Scalars repeat; with a
+                         list, the family ends after the shortest list's K terms.
     periodic_modulated:  period lists ``A_period``/``B_period`` with A_n scaled
                          by (n+1)**growth.
     explicit:            knobs ``A``/``B`` are explicit block lists, equally long.
-    d < 1 and an empty period or block list raise ParamsError here.
+    d < 1 and an empty period or block list raise ParamsError here; ``constant``
+    and ``explicit`` blocks are checked here too.
     """
     if d < 1:
         raise ParamsError(f"d must be >= 1, got {d}")
-    eye = np.eye(d, dtype=complex)
-    zero = np.zeros((d, d), dtype=complex)
+    if name not in FAMILY_KNOBS:
+        raise ParamsError(f"unknown family {name!r}")
+    growth, end, bounded = 0.0, None, True  # end: the IndexError text of a finite family
 
     if name == "free":
-        return JacobiParams(d, lambda n: (eye, zero), family_tag="free", bounded=True)
-
-    if name == "constant":
-        a = _as_block(np.asarray(knobs["A"], dtype=complex), d)
-        b = _as_block(np.asarray(knobs["B"], dtype=complex), d)
-        p = JacobiParams(d, lambda n: (a, b), family_tag="constant", bounded=True)
-        p.stack(1)  # a bad pair fails here, as the family is built
-        return p
-
-    if name == "diagonal":
+        a_list, b_list = np.eye(d, dtype=complex)[None], np.zeros((1, d, d), dtype=complex)
+    elif name == "constant":
+        a_list, b_list = [_as_block(knobs["A"], d)], [_as_block(knobs["B"], d)]
+    elif name == "diagonal":
         comps = knobs["components"]
         if len(comps) != d:
             raise ParamsError(f"diagonal family needs {d} scalar components, got {len(comps)}")
-        a_rules = [_scalar_rule(c["a"]) for c in comps]
-        b_rules = [_scalar_rule(c["b"]) for c in comps]
-
-        def rule(n):
-            a = np.diag([r(n) for r in a_rules]).astype(complex)
-            b = np.diag([r(n) for r in b_rules]).astype(complex)
-            return a, b
-
-        bounded = all(np.isscalar(c["a"]) and np.isscalar(c["b"]) for c in comps)
-        return JacobiParams(d, rule, family_tag="diagonal", bounded=bounded)
-
-    if name == "periodic_modulated":
-        a_period = [_as_block(np.asarray(a, dtype=complex), d) for a in knobs["A_period"]]
-        b_period = [_as_block(np.asarray(b, dtype=complex), d) for b in knobs["B_period"]]
+        sides = [[complex(c[k]) if np.isscalar(c[k]) else [complex(v) for v in c[k]]
+                  for c in comps] for k in ("a", "b")]
+        lists = [v for side in sides for v in side if isinstance(v, list)]
+        K, bounded = min(map(len, lists), default=1), not lists
+        end = f"scalar family materialized beyond its {K} listed terms" if lists else None
+        a_list, b_list = blocks = np.zeros((2, K, d, d), dtype=complex)
+        blocks[:, :, range(d), range(d)] = np.array(  # the diagonals of all 2K blocks at once
+            [[v[:K] if isinstance(v, list) else [v] * K for v in side] for side in sides],
+            dtype=complex).transpose(0, 2, 1)
+    elif name == "periodic_modulated":
+        a_list, b_list = ([_as_block(x, d) for x in knobs[k]] for k in ("A_period", "B_period"))
         growth = float(knobs.get("growth", 0.0))
-        if not a_period or not b_period:
+        if not a_list or not b_list:
             raise ParamsError("A_period and B_period must be non-empty")
-
-        def rule(n):  # an overflowing scale gives a non-finite block, named by the store
-            return (a_period[n % len(a_period)] * np.float64(n + 1) ** growth,
-                    b_period[n % len(b_period)])
-
-        return JacobiParams(d, rule, family_tag="periodic_modulated", bounded=(growth == 0.0))
-
-    if name == "explicit":
-        a_list = [_as_block(np.asarray(a, dtype=complex), d) for a in knobs["A"]]
-        b_list = [_as_block(np.asarray(b, dtype=complex), d) for b in knobs["B"]]
+        bounded = growth == 0.0
+    else:  # explicit
+        a_list, b_list = ([_as_block(x, d) for x in knobs[k]] for k in ("A", "B"))
         if not a_list or len(a_list) != len(b_list):
             raise ParamsError(f"explicit family needs as many A as B blocks and at least one, "
                               f"got {len(a_list)} and {len(b_list)}")
+        end = f"explicit family materialized beyond its {len(a_list)} listed blocks"
 
-        def rule(n):
-            if n >= len(a_list):
-                raise IndexError(f"explicit family materialized beyond its {len(a_list)} listed blocks")
-            return a_list[n], b_list[n]
+    def rule(n):  # an overflowing scale gives a non-finite block, named by the store
+        if end is not None and n >= len(a_list):
+            raise IndexError(end)
+        return a_list[n % len(a_list)] * np.float64(n + 1) ** growth, b_list[n % len(b_list)]
 
-        p = JacobiParams(d, rule, family_tag="explicit", bounded=True)
-        p.stack(len(a_list))
-        return p
-
-    raise ParamsError(f"unknown family {name!r}")
-
+    p = JacobiParams(d, rule, bounded=bounded)
+    if name in ("constant", "explicit"):
+        p.stack(len(a_list))  # a bad pair fails here, as the family is built
+    return p

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import HORIZON_CAP, JacobiParams, make_family, validate_params
+from .blockcore import FAMILY_KNOBS, HORIZON_CAP, JacobiParams, make_family, validate_params
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import compute_PQ
@@ -37,13 +37,6 @@ _TOP_KEYS = {  # "seed" is accepted for older configs and ignored
     "cap", "measure_in",
 }
 _LAMBDA_KEYS = ("min", "max", "steps")
-_FAMILY_KEYS = {
-    "free": set(),
-    "constant": {"A", "B"},
-    "diagonal": {"components"},
-    "periodic_modulated": {"A_period", "B_period", "growth"},
-    "explicit": {"A", "B"},
-}
 
 
 class ConfigError(ValueError):
@@ -148,13 +141,13 @@ def parse_config(config: str | dict) -> RunConfig:
         with _located("family"):
             fam = dict(raw["family"])
             name = fam.get("name")
-            if name not in _FAMILY_KEYS:
-                raise ConfigError(f"family.name must be one of {sorted(_FAMILY_KEYS)}")
+            if name not in FAMILY_KNOBS:
+                raise ConfigError(f"family.name must be one of {sorted(FAMILY_KNOBS)}")
             if name == "diagonal" and "d" not in fam and "components" in fam:
                 fam["d"] = len(fam["components"])
         if "d" not in fam:
             raise ConfigError("family.d is required")
-        _reject_unknown(fam, _FAMILY_KEYS[name] | {"name", "d"}, "family.")
+        _reject_unknown(fam, FAMILY_KNOBS[name] | {"name", "d"}, "family.")
         cfg.family = fam
     for key, attr, choices in (("command", "command", COMMANDS), ("format", "fmt", ("csv", "json")),
                                ("seminorm", "seminorm", ("matrix_norm", "matrix_minmod"))):
@@ -185,6 +178,10 @@ def parse_config(config: str | dict) -> RunConfig:
                          ("lambda.steps", cfg.lambda_grid[2]), ("t_grid.steps", cfg.t_grid[1])):
         if count < 1:
             raise ConfigError(f"{where} must be >= 1")
+    for where, x in (("z", cfg.z), ("lambda.min", cfg.lambda_grid[0]),
+                     ("lambda.max", cfg.lambda_grid[1]), ("t_grid.max", cfg.t_grid[0])):
+        if not np.isfinite(x):
+            raise ConfigError(f"{where} must be finite, got {x!r}")
     if not (cfg.cap > 0 and cfg.n_rule_C > 0):  # NaN fails too
         raise ConfigError("tolerances and caps must be positive")
     # cost bounds on the walks, located here; the block store enforces the same

@@ -31,6 +31,17 @@ MERGE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
+def _not_psd(w: np.ndarray):
+    """Whether a (d, d) matrix, or each of a (K, d, d) stack, fails to be PSD:
+    its Hermitian defect or most negative eigenvalue passes PSD_TOL times
+    max(1, largest eigenvalue) (1 where that is NaN)."""
+    wh = np.swapaxes(w.conj(), -1, -2)
+    ev = np.linalg.eigvalsh((w + wh) / 2)
+    scale = np.fmax(1.0, ev[..., -1])
+    return ((np.linalg.norm(w - wh, 2, axis=(-2, -1)) > PSD_TOL * scale)
+            | (ev[..., 0] < -PSD_TOL * scale))
+
+
 def _merge(pairs, d: int):
     """Sort by location and merge near-coincident atoms."""
     pairs = sorted(pairs, key=lambda a: a[0])
@@ -56,12 +67,9 @@ class DiscreteMatrixMeasure:
     @staticmethod
     def from_pairs(pairs, d: int) -> "DiscreteMatrixMeasure":
         merged = _merge(pairs, d)
-        for lam, w in merged:
-            ev = np.linalg.eigvalsh((w + w.conj().T) / 2)
-            herm_defect = np.linalg.norm(w - w.conj().T, 2)
-            scale = max(1.0, float(ev[-1]) if len(ev) else 1.0)
-            if herm_defect > PSD_TOL * scale or (len(ev) and ev[0] < -PSD_TOL * scale):
-                raise ValueError(f"atom at {lam} has a non-PSD weight")
+        bad = _not_psd(np.array([w for _, w in merged]).reshape(len(merged), d, d))
+        if bad.any():
+            raise ValueError(f"atom at {merged[np.argmax(bad)][0]} has a non-PSD weight")
         return DiscreteMatrixMeasure(tuple(merged), d)
 
     def total_mass(self) -> np.ndarray:
@@ -136,9 +144,7 @@ def density_integral(nu, H) -> DiscreteMatrixMeasure:
         hk = np.asarray(hk, dtype=complex)
         if d is None:
             d = hk.shape[0]
-        ev = np.linalg.eigvalsh((hk + hk.conj().T) / 2)
-        if (np.linalg.norm(hk - hk.conj().T, 2) > PSD_TOL * max(1.0, abs(ev[-1]))
-                or ev[0] < -PSD_TOL * max(1.0, abs(ev[-1]))):
+        if _not_psd(hk):
             raise ValueError(f"density at {lam} is not PSD")
         if mass < 0:
             raise ValueError(f"negative reference mass at {lam}")

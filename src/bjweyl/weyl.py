@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .blockcore import HORIZON_CAP, BlockMatSeq, JacobiParams
-from .solutions import MgevSolution, solve_forward
+from .solutions import MgevSolution
 from .subordinacy import gev_l2_dimension
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "gev_l2_dimension",
     "default_n_rule",
 ]
+
+RANK_REL = 1e-3  # _classify's rank: singular values of Im W above this share of the largest
 
 
 @dataclass(frozen=True)
@@ -111,18 +113,23 @@ def weyl_schur(p: JacobiParams, z, N: int) -> WeylSample:
     G_{N-1} = (B_{N-1} - zI)^{-1}, G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1};
     equal to the resolvent route at the same N up to rounding.  An array z is
     one sweep for all its values: W is a z.shape + (d, d) stack, each entry
-    bit-identical to the call at that z alone; a singular pivot at any z raises.
+    bit-identical to the call at that z alone.  A singular pivot at any z
+    raises, and so does a non-finite W at any z (ArithmeticError: the sweep
+    overflowed, or z was not finite), with no numpy warning.
     """
     zi, (a, b) = np.multiply.outer(z, np.eye(p.d, dtype=complex)), p.stack(N)
     k = N - 1
     try:
-        g = np.linalg.inv(b[k] - zi)
-        for k in range(N - 2, -1, -1):
-            g = np.linalg.inv(b[k] - zi - a[k] @ g @ a[k].conj().T)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+            g = np.linalg.inv(b[k] - zi)
+            for k in range(N - 2, -1, -1):
+                g = np.linalg.inv(b[k] - zi - a[k] @ g @ a[k].conj().T)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular Schur pivot at block {k}: z too close to the section spectrum"
         ) from exc
+    if not np.all(np.isfinite(g)):
+        raise ArithmeticError("W is not finite: the Schur sweep overflowed")
     return WeylSample(z, g, "schur", N,
                       {"herglotz_min_eig": _herglotz_min_eig(z, g)})
 
@@ -198,7 +205,7 @@ def _check_ladder(eps_ladder) -> np.ndarray:
     return ladder
 
 
-def _classify(ws: list[np.ndarray], tr_im: list[float], rank_rel: float = 1e-3) -> dict:
+def _classify(ws: list[np.ndarray], tr_im: list[float]) -> dict:
     """Per-lambda decision from the ladder of W values (eps decreasing)."""
     n = len(ws)
     # singular candidate: trace blow-up across the last three rungs
@@ -222,7 +229,7 @@ def _classify(ws: list[np.ndarray], tr_im: list[float], rank_rel: float = 1e-3) 
         return {"label": "outside", "rank": 0, "density": None}
     im_w = (ws[-1] - ws[-1].conj().T) / 2j
     sv = np.linalg.svd(im_w, compute_uv=False)
-    thr = max(1e-6, rank_rel * (sv[0] if len(sv) else 0.0))
+    thr = max(1e-6, RANK_REL * (sv[0] if len(sv) else 0.0))
     rank = int(np.sum(sv > thr))
     if rank >= 1:
         return {"label": f"ac", "rank": rank, "density": im_w / math.pi}

@@ -14,7 +14,7 @@ def random_bounded_params(rng, d: int, n_blocks: int = 96) -> JacobiParams:
         a = u @ np.diag(rng.uniform(0.5, 2.0, d)) @ v.conj().T
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         blocks.append((a, (h + h.conj().T) / 2))
-    return JacobiParams(d, lambda n: blocks[n], family_tag="random", bounded=True)
+    return JacobiParams(d, lambda n: blocks[n], bounded=True)
 
 
 @pytest.fixture

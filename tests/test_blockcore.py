@@ -192,3 +192,81 @@ def test_a_misshapen_or_non_finite_block_names_its_index():
         JacobiParams(2, rule(2, np.full((2, 2), np.nan))).stack(5)
     with pytest.raises(ValueError, match=r"^expected a 2x2 block at n=3, got shape \(3, 3\)$"):
         JacobiParams(2, rule(3, np.eye(3))).stack(5)
+
+
+def _scalar_oracle(values):
+    """A scalar knob at index n, as the per-family rules computed it: a constant,
+    or a list that raises past its end."""
+    if np.isscalar(values):
+        return lambda n: complex(values)
+    vals = [complex(v) for v in values]
+
+    def rule(n):
+        if n >= len(vals):
+            raise IndexError(f"scalar family materialized beyond its {len(vals)} listed terms")
+        return vals[n]
+    return rule
+
+
+def _family_oracle(name, d, knobs):
+    """The per-index rule of each built-in family, written out one family at a time."""
+    if name == "free":
+        return lambda n: (np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex))
+    if name == "constant":
+        return lambda n: (np.asarray(knobs["A"], dtype=complex), np.asarray(knobs["B"], dtype=complex))
+    if name == "diagonal":
+        a = [_scalar_oracle(c["a"]) for c in knobs["components"]]
+        b = [_scalar_oracle(c["b"]) for c in knobs["components"]]
+        return lambda n: (np.diag([r(n) for r in a]).astype(complex),
+                          np.diag([r(n) for r in b]).astype(complex))
+    if name == "periodic_modulated":
+        ap = [np.asarray(x, dtype=complex) for x in knobs["A_period"]]
+        bp = [np.asarray(x, dtype=complex) for x in knobs["B_period"]]
+        g = float(knobs.get("growth", 0.0))
+        return lambda n: (ap[n % len(ap)] * np.float64(n + 1) ** g, bp[n % len(bp)])
+    K = len(knobs["A"])
+
+    def explicit(n):
+        if n >= K:
+            raise IndexError(f"explicit family materialized beyond its {K} listed blocks")
+        return np.asarray(knobs["A"][n], dtype=complex), np.asarray(knobs["B"][n], dtype=complex)
+    return explicit
+
+
+_PERIOD = [[[1.0, 0.3 + 0.2j], [0.1j, 1.2]], [[0.8, 0.0], [0.1, -1.0]], [[2.0, 0.5], [0.0, 1.0]]]
+_HERM = [[[0.0, 0.5 - 0.1j], [0.5 + 0.1j, 1.0]], [[0.2, 0.0], [0.0, -0.3]]]
+# (name, d, knobs, number of listed blocks or None for a family without end)
+_FAMILIES = {
+    "free_d1": ("free", 1, {}, None),
+    "free_d3": ("free", 3, {}, None),
+    "constant": ("constant", 2, {"A": _PERIOD[0], "B": _HERM[0]}, None),
+    "diagonal_scalar": ("diagonal", 2, {"components": [{"a": 1.0, "b": 0.0},
+                                                       {"a": 2.5, "b": -0.5}]}, None),
+    "diagonal_lists": ("diagonal", 2, {"components": [
+        {"a": [1.0 + k / 10 for k in range(12)], "b": [k / 3 for k in range(12)]},
+        {"a": [2.0 - k / 20 for k in range(12)], "b": [-k / 7 for k in range(12)]}]}, 12),
+    "diagonal_mixed": ("diagonal", 3, {"components": [
+        {"a": [1.0 + k / 10 for k in range(9)], "b": 0.25},
+        {"a": 1.5, "b": [k / 4 for k in range(7)]},
+        {"a": 0.5, "b": -1.0}]}, 7),
+    "diagonal_empty": ("diagonal", 1, {"components": [{"a": [], "b": 0.0}]}, 0),
+    "periodic_growth_0": ("periodic_modulated", 2, {"A_period": _PERIOD, "B_period": _HERM,
+                                                    "growth": 0.0}, None),
+    "periodic_growth_half": ("periodic_modulated", 2, {"A_period": _PERIOD, "B_period": _HERM,
+                                                       "growth": 0.5}, None),
+    "explicit": ("explicit", 2, {"A": _PERIOD + _PERIOD[::-1], "B": _HERM * 3}, 6),
+}
+
+
+@pytest.mark.parametrize("name, d, knobs, K", _FAMILIES.values(), ids=_FAMILIES)
+def test_every_family_stacks_the_blocks_of_its_per_index_rule(name, d, knobs, K):
+    oracle = _family_oracle(name, d, knobs)
+    N = 20 if K is None else K  # past every period; a finite family up to its end
+    for got, want in zip(make_family(name, d, **knobs).stack(N),
+                         np.array([oracle(n) for n in range(N)]).reshape(N, 2, d, d).swapaxes(0, 1)):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()  # signed zeros too
+    if K is not None:
+        with pytest.raises(IndexError) as expected:
+            oracle(K)
+        with pytest.raises(IndexError, match=f"^{expected.value}$"):
+            make_family(name, d, **knobs).stack(K + 1)

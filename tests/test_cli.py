@@ -335,6 +335,7 @@ def test_an_overflowing_block_names_its_index(tmp_path, capsys, command):
     ("polys", {"z": [30.0, 0.0], "n_max": 400}, 1,
      "config error: family: recurrence overflows: term at n=209 is not finite\n"),
     ("jl", {"lambda": {"min": 30.0, "max": 30.0, "steps": 1}}, 0, ""),
+    ("weyl", {"family": {"name": "diagonal", "components": [{"a": 1e308, "b": 0.0}]}}, 0, ""),
 ])
 def test_overflow_reaches_stderr_only_as_a_located_message(tmp_path, capsys, command, knobs,
                                                           code, err):
@@ -344,3 +345,48 @@ def test_overflow_reaches_stderr_only_as_a_located_message(tmp_path, capsys, com
         warnings.simplefilter("error")
         assert main(["--config", config, "--out", str(tmp_path / "o.csv")]) == code
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("config, flags, err", [
+    ({"command": "weyl-scan", "lambda": {"min": math.nan, "max": 1.0, "steps": 3}}, [],
+     "lambda.min must be finite, got nan"),
+    ({"command": "weyl-scan", "lambda": {"min": math.inf, "max": 1.0, "steps": 3}}, [],
+     "lambda.min must be finite, got inf"),
+    ({"command": "jl"}, ["--lambda-max", "nan"], "lambda.max must be finite, got nan"),
+    ({"command": "transfer-check", "z": [math.inf, 1.0]}, [], "z must be finite, got (inf+1j)"),
+    ({"command": "weyl", "z": [0.0, math.nan]}, [], "z must be finite, got nanj"),
+    ({"command": "nonsub", "t_grid": {"max": math.nan, "steps": 4}}, [],
+     "t_grid.max must be finite, got nan"),
+])
+def test_a_non_finite_point_is_a_located_config_error(tmp_path, capsys, config, flags, err):
+    path = write_config(tmp_path, **{"family": FREE, **config})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", path, "--out", str(tmp_path / "o.csv"), *flags]) == 1
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
+_NOT_FINITE = "W is not finite: the Schur sweep overflowed"
+
+
+@pytest.mark.parametrize("family, knobs, code, failed", [
+    # N(1e-320) = 1 block, and W = 1/(-i 1e-320) overflows on the last rung only
+    ({"name": "constant", "d": 1, "A": [[1.0]], "B": [[0.0]]},
+     {"lambda": {"min": 0.0, "max": 0.0, "steps": 1}, "eps_ladder": [1e-10, 1e-300, 1e-320],
+      "n_rule_C": 1e-320}, 0, [1e-320]),
+    ({"name": "diagonal", "components": [{"a": 1e308, "b": 0.0}]},
+     {"lambda": {"min": -1.0, "max": 1.0, "steps": 2}, "eps_ladder": [0.1, 0.03]}, 2, [0.1, 0.03]),
+])
+def test_an_overflowing_sweep_is_a_row_error_and_an_undecided_label(
+        tmp_path, capsys, family, knobs, code, failed):
+    path = write_config(tmp_path, family=family, command="weyl-scan", **knobs)
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", path, "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    rows = read_rows(out)
+    samples, labels = [r for r in rows if r["eps"]], [r for r in rows if not r["eps"]]
+    assert [float(r["eps"]) for r in samples if r["error"]] == failed * len(labels)
+    assert all(r["error"] == _NOT_FINITE and not r["tr_im"] for r in samples if r["error"])
+    assert all(r["label"] == "undecided" and r["error"] == _NOT_FINITE for r in labels)

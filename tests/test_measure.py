@@ -147,3 +147,20 @@ def test_subset_sandwich(rng):
         ev = np.linalg.eigvalsh((mass + mass.conj().T) / 2)
         assert ev.min() >= -1e-12
         assert ev.max() <= tr + 1e-12
+
+
+def test_one_psd_check_names_the_first_failing_item():
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    small = -0.5e-10 * np.eye(2)  # within the tolerance of a zero weight
+    with pytest.raises(ValueError, match=r"^atom at 1.0 has a non-PSD weight$"):
+        DiscreteMatrixMeasure.from_pairs(
+            [(2.0, -np.eye(2)), (1.0, skew), (0.0, np.eye(2)), (3.0, small)], 2)
+    assert len(DiscreteMatrixMeasure.from_pairs([(0.0, small), (1.0, 3 * np.eye(2))], 2).atoms) == 2
+    assert DiscreteMatrixMeasure.from_pairs([], 2).atoms == ()
+    # per item in order, the PSD check before the mass check
+    with pytest.raises(ValueError, match=r"^density at 0.0 is not PSD$"):
+        density_integral([(0.0, -1.0), (1.0, 1.0)], [skew, np.eye(2)])
+    with pytest.raises(ValueError, match=r"^negative reference mass at 0.0$"):
+        density_integral([(0.0, -1.0), (1.0, 1.0)], [np.eye(2), -np.eye(2)])
+    with pytest.raises(ValueError, match=r"^density at 1.0 is not PSD$"):
+        density_integral([(0.0, 1.0), (1.0, 1.0)], [small, -np.eye(2)])

@@ -280,3 +280,21 @@ def test_library_scan_past_the_cap_names_it_without_a_numpy_warning():
             default_n_rule(1e-320)
     assert scan.rows[0]["error"] == scan.classification[0]["error"] == message
     assert default_n_rule(50.0 / HORIZON_CAP) == HORIZON_CAP
+
+
+def test_a_non_finite_sweep_raises_for_its_z_only_without_a_numpy_warning():
+    message = "W is not finite: the Schur sweep overflowed"
+    p = make_family("free", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=f"^{message}$"):
+            weyl_schur(p, np.array([2j, complex(math.nan, 1.0)]), 30)
+        scan = boundary_scan(p, [0.0, math.nan, 0.5], [0.5, 0.2, 0.1])
+    per_lambda = boundary_scan(p, [0.0, 0.5], [0.5, 0.2, 0.1])
+    assert [r["error"] for r in scan.rows] == [""] * 3 + [message] * 3 + [""] * 3
+    assert scan.classification[1] == {"label": "undecided", "rank": None, "density": None,
+                                      "error": message}
+    for i, j in ((0, 0), (2, 1)):
+        assert scan.classification[i]["label"] == per_lambda.classification[j]["label"]
+        assert all(np.array_equal(a["W"], b["W"])
+                   for a, b in zip(scan.rows[3 * i:3 * i + 3], per_lambda.rows[3 * j:3 * j + 3]))
