@@ -47,6 +47,13 @@ def _as_block(a, d: int, n: int | None = None) -> np.ndarray:
     return a
 
 
+def _finite(m: np.ndarray, what: str) -> np.ndarray:
+    """m, computed under ``np.errstate``; an ArithmeticError naming what if it overflowed."""
+    if not np.all(np.isfinite(m)):
+        raise ArithmeticError(f"overflow: {what} is not finite")
+    return m
+
+
 @dataclass(frozen=True)
 class _BlockSeq:
     """A finite sequence of terms of one shape starting at index -1 or 0."""

@@ -19,13 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import FAMILY_KNOBS, HORIZON_CAP, JacobiParams, make_family, validate_params
+from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, JacobiParams, _finite, make_family,
+                        validate_params)
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import compute_PQ
-from .subordinacy import HorizonExhausted, jl_function, nonsub_diagnostic
+from .subordinacy import DEFAULT_COND_CAP, HorizonExhausted, jl_function, nonsub_diagnostic
 from .transfer import lo_residual, omega_identity_residual, transfer_nstep, transfer_step
-from .weyl import _check_ladder, boundary_scan, default_n_rule, weyl_resolvent, weyl_schur
+from .weyl import (DEFAULT_N_RULE_C, _check_ladder, boundary_scan, default_n_rule,
+                   weyl_resolvent, weyl_schur)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -59,11 +61,11 @@ class RunConfig:
     t_grid: tuple = (64.0, 32)  # max, steps
     k_max: int = 10
     n_max: int = 20
-    n_rule_C: float = 50.0
+    n_rule_C: float = DEFAULT_N_RULE_C
     fmt: str = "csv"
     out: str | None = None
     seminorm: str = "matrix_norm"
-    cap: float = 1e3
+    cap: float = DEFAULT_COND_CAP
     measure_in: str | None = None
     _params: JacobiParams | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -258,13 +260,15 @@ def _cmd_transfer_check(cfg: RunConfig):
         with _row_errors(row):
             row["omega_residual"] = _num(omega_identity_residual(p, cfg.z, k))
             nstep = transfer_nstep(p, cfg.z, k)
-            scale = max(1.0, np.linalg.norm(nstep["R"], 2)
-                        * np.linalg.norm(nstep["R_inv"], 2))
-            row["rinv_residual"] = _num(
-                np.linalg.norm(nstep["R"] @ nstep["R_inv"] - eye, 2) / scale)
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite scale is max(1, inf)
+                scale = max(1.0, np.linalg.norm(nstep["R"], 2)
+                            * np.linalg.norm(nstep["R_inv"], 2))
+                rr = _finite(nstep["R"] @ nstep["R_inv"], f"R_k R_k^-1 at k={k}")
+            row["rinv_residual"] = _num(np.linalg.norm(rr - eye, 2) / scale)
             step = transfer_step(p, cfg.z, k - 1)
-            row["tinv_residual"] = _num(
-                np.linalg.norm(step["T"] @ step["T_inv"] - eye, 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                tt = _finite(step["T"] @ step["T_inv"], f"T_k-1 T_k-1^-1 at k={k}")
+            row["tinv_residual"] = _num(np.linalg.norm(tt - eye, 2))
             lo = lo_residual(p, cfg.z, k)
             row["lo_r1"] = _num(lo["r1"])
             row["lo_r2"] = _num(lo["r2"])

@@ -42,6 +42,11 @@ def _not_psd(w: np.ndarray):
             | (ev[..., 0] < -PSD_TOL * scale))
 
 
+def _coincide(lam: float, x) -> bool:
+    """Whether x lies within MERGE_TOL * max(1, |lam|) of the location lam."""
+    return abs(lam - x) <= MERGE_TOL * max(1.0, abs(lam))
+
+
 def _merge(pairs, d: int):
     """Sort by location and merge near-coincident atoms."""
     pairs = sorted(pairs, key=lambda a: a[0])
@@ -50,7 +55,7 @@ def _merge(pairs, d: int):
         w = np.asarray(w, dtype=complex)
         if w.shape != (d, d):
             raise ValueError(f"weight shape {w.shape}, expected ({d}, {d})")
-        if out and abs(lam - out[-1][0]) <= MERGE_TOL * max(1.0, abs(lam)):
+        if out and _coincide(lam, out[-1][0]):
             out[-1] = (out[-1][0], out[-1][1] + w)
         else:
             out.append((float(lam), w.copy()))
@@ -124,8 +129,7 @@ def cauchy_transform(m: DiscreteMatrixMeasure, z: complex) -> np.ndarray:
     """Sum of W_k / (lambda_k - z); z must stay clear of every atom."""
     out = np.zeros((m.d, m.d), dtype=complex)
     for lam, w in m.atoms:
-        gap = abs(lam - z)
-        if gap <= 1e-12 * max(1.0, abs(lam)):
+        if _coincide(lam, z):
             raise ValueError(f"z = {z} collides with the atom at {lam}")
         out += w / (lam - z)
     return out
@@ -154,10 +158,6 @@ def density_integral(nu, H) -> DiscreteMatrixMeasure:
     return DiscreteMatrixMeasure.from_pairs(pairs, d)
 
 
-def _match(lam: float, locations) -> bool:
-    return any(abs(lam - x) <= MERGE_TOL * max(1.0, abs(lam)) for x in locations)
-
-
 def decompose_vs_reference(m: DiscreteMatrixMeasure, nu) -> dict:
     """Split m into the part carried by the reference atoms and the rest.
 
@@ -167,7 +167,7 @@ def decompose_vs_reference(m: DiscreteMatrixMeasure, nu) -> dict:
     locations = [x[0] if isinstance(x, (tuple, list)) else float(x) for x in nu]
     ac, sing = [], []
     for lam, w in m.atoms:
-        (ac if _match(lam, locations) else sing).append((lam, w))
+        (ac if any(_coincide(lam, x) for x in locations) else sing).append((lam, w))
     return {
         "ac_part": DiscreteMatrixMeasure(tuple(ac), m.d),
         "sing_part": DiscreteMatrixMeasure(tuple(sing), m.d),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcore import HORIZON_CAP, JacobiParams
-from .seminorms import SeminormKind, affine_interp, seminorm_nodes
+from .blockcore import HORIZON_CAP, JacobiParams, _finite
+from .seminorms import SeminormKind, seminorm_nodes
 from .solutions import compute_PQ
 from .transfer import _chain, _step
 
@@ -64,9 +64,11 @@ def jl_function(p: JacobiParams, lam: float, eps: float,
                 variant: SeminormKind = SeminormKind.matrix_norm) -> JLSample:
     """The unique length ell with ||P||_[0,ell] * ||Q||_[0,ell] = 1/(2 eps).
 
-    The product is continuous and strictly increasing in the length, so the
-    root is bracketed by doubling the recurrence horizon (64 up to 2^20) and
-    then bisected.  Exhausting the horizon raises instead of guessing.
+    The recurrence horizon doubles (64 up to 2^20) until a node product
+    reaches the target T; exhausting it raises instead of guessing.  On the
+    segment [m-1, m] ending at the first such node both squared seminorms are
+    affine, so ell is the root of a quadratic in closed form and depends only
+    on the nodes up to m.  The residual is a rounding-level check.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -74,29 +76,23 @@ def jl_function(p: JacobiParams, lam: float, eps: float,
     horizon = HORIZON_START
     while True:
         pn, qn = _pq_sq_nodes(p, lam, horizon, variant)
-        with np.errstate(over="ignore"):  # an infinite product is past any target
-            if math.sqrt(pn[-1] * qn[-1]) >= target:
-                break
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite node is past any target
+            m = int(np.searchsorted(np.sqrt(pn) * np.sqrt(qn), target))  # m >= 1, as Q_0 = 0
+        if m <= horizon:
+            break
         if horizon >= HORIZON_CAP:
             raise HorizonExhausted(
                 f"seminorm product below {target:.6g} up to t = {horizon}")
         horizon *= 2
-
-    def f(t: float) -> float:
-        return math.sqrt(affine_interp(pn, t) * affine_interp(qn, t))
-
-    lo, hi = 0.0, float(horizon)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    ell = 0.5 * (lo + hi)
-    residual = abs(f(ell) - target) / target
-    return JLSample(float(lam), float(eps), ell, residual)
+    # (p0 + s dp)(q0 + s dq) = 1 on the nodes over T: a s^2 + b s - c = 0, c > 0
+    pa, pb, qa, qb = (float(x) for x in (pn[m - 1], pn[m], qn[m - 1], qn[m]))
+    p0, q0, dp, dq = pa / target, qa / target, (pb - pa) / target, (qb - qa) / target
+    if not math.isfinite(p0 + dp + q0 + dq):
+        raise ArithmeticError(f"overflow: a squared seminorm at t={m} is not finite")
+    a, b, c = dp * dq, p0 * dq + q0 * dp, 1.0 - p0 * q0
+    s = 2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))  # cancellation-free root
+    residual = abs(math.sqrt((p0 + s * dp) * (q0 + s * dq)) - 1.0)
+    return JLSample(float(lam), float(eps), m - 1 + s, residual)
 
 
 def _sel_chain(p: JacobiParams, z: complex, n: int) -> list[np.ndarray]:
@@ -116,16 +112,17 @@ def gram_nodes(p: JacobiParams, z: complex, ts) -> dict:
     if any(t < 0 for t in ts):
         raise ValueError("t values must be >= 0")
     top = max(math.floor(t) + 1 for t in ts) if ts else 0
-    terms = np.array([c.conj().T @ c for c in _sel_chain(p, z, top)])
-    cum = np.cumsum(terms, axis=0)
     out = {}
-    for t in ts:
-        n = math.floor(t)
-        g = cum[n].copy()
-        frac = t - n
-        if frac > 0:
-            g = g + frac * terms[n + 1]
-        out[t] = g
+    with np.errstate(over="ignore", invalid="ignore"):  # each G_t is checked
+        terms = np.array([c.conj().T @ c for c in _sel_chain(p, z, top)])
+        cum = np.cumsum(terms, axis=0)
+        for t in ts:
+            n = math.floor(t)
+            g = cum[n].copy()
+            frac = t - n
+            if frac > 0:
+                g = g + frac * terms[n + 1]
+            out[t] = _finite(g, f"G_t at t={t:.17g}")
     return out
 
 
@@ -168,7 +165,7 @@ def _cond(g: np.ndarray) -> float:
     """Condition number of the PSD Gram, clamped at the double-precision
     resolution limit: once the spread passes ~1e16 the small eigenvalue is
     pure rounding, so the value saturates instead of fluctuating."""
-    ev = np.linalg.eigvalsh((g + g.conj().T) / 2)
+    ev = np.linalg.eigvalsh(g / 2 + g.conj().T / 2)  # halved first: no overflow
     if ev[-1] <= 0:
         return math.inf
     floor = ev[-1] / COND_SATURATION
@@ -224,8 +221,7 @@ def nonsub_diagnostic(p: JacobiParams, lam: float, t_grid,
     }
 
 
-def spectral_consequence_report(p: JacobiParams, lam: float, diagnostic: dict,
-                                n_max: int = 32) -> dict:
+def spectral_consequence_report(p: JacobiParams, lam: float, diagnostic: dict) -> dict:
     """Numerical-evidence report gated on the verdict and the bounded flag.
 
     Only bounded families are treated as self-adjoint here; for those, a
@@ -238,7 +234,7 @@ def spectral_consequence_report(p: JacobiParams, lam: float, diagnostic: dict,
     if not p.bounded:
         return {"claim": None,
                 "reason": "family not flagged bounded; self-adjointness undecided"}
-    dim = gev_l2_dimension(p, complex(lam, 0.0), n_max=n_max)
+    dim = gev_l2_dimension(p, complex(lam, 0.0))
     return {
         "claim": ("numerical evidence: no l2 generalized eigenvector at lam; "
                   "lam in spectrum, not an eigenvalue"),

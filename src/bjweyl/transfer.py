@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcore import JacobiParams
+from .blockcore import JacobiParams, _finite
 from .solutions import _a_prev_adj, compute_PQ
 
 __all__ = [
@@ -25,13 +25,15 @@ __all__ = [
 
 def _step(p: JacobiParams, z: complex, n: int) -> np.ndarray:
     """T_n(z) = [[0, I], [-A_n^{-1} A_{n-1}*, A_n^{-1}(zI - B_n)]]."""
-    d, (a, b) = p.d, p.stack(n + 1)
-    eye = np.eye(d, dtype=complex)
-    t = np.zeros((2 * d, 2 * d), dtype=complex)
-    t[:d, d:] = eye
-    t[d:, :d] = -np.linalg.solve(a[n], _a_prev_adj(a, n))
-    t[d:, d:] = np.linalg.solve(a[n], z * eye - b[n])
-    return t
+    (a, b), eye = p.stack(n + 1), np.eye(p.d, dtype=complex)
+    return np.block([[np.zeros_like(eye), eye],
+                     [-np.linalg.solve(a[n], _a_prev_adj(a, n)),
+                      np.linalg.solve(a[n], z * eye - b[n])]])
+
+
+def _omega(d: int) -> np.ndarray:
+    """Omega = [[0, I], [-I, 0]], 2d x 2d."""
+    return np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(d)).astype(complex)
 
 
 def _chain(step, p: JacobiParams, z: complex, n: int):
@@ -51,13 +53,10 @@ def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    d, (a, b) = p.d, p.stack(n + 1)
-    eye = np.eye(d, dtype=complex)
-    t_inv = np.zeros((2 * d, 2 * d), dtype=complex)
+    (a, b), eye = p.stack(n + 1), np.eye(p.d, dtype=complex)
     a_prev_inv = np.linalg.inv(_a_prev_adj(a, n))
-    t_inv[:d, :d] = a_prev_inv @ (z * eye - b[n])
-    t_inv[:d, d:] = -a_prev_inv @ a[n]
-    t_inv[d:, :d] = eye
+    t_inv = np.block([[a_prev_inv @ (z * eye - b[n]), -a_prev_inv @ a[n]],
+                      [eye, np.zeros_like(eye)]])
     return {"T": _step(p, z, n), "T_inv": t_inv}
 
 
@@ -70,28 +69,19 @@ def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = p.d
-    r, rb = (list(_chain(_step, p, w, n))[-1] for w in (z, np.conj(z)))
     a_last = p.A(n - 1)
-    left = np.zeros((2 * d, 2 * d), dtype=complex)
-    left[:d, d:] = np.eye(d)
-    left[d:, :d] = -np.eye(d)
-    right = np.zeros((2 * d, 2 * d), dtype=complex)
-    right[:d, d:] = a_last
-    right[d:, :d] = -a_last.conj().T
-    r_inv = left @ rb.conj().T @ right
-    return {"R": r, "R_inv": r_inv}
+    right = np.block([[np.zeros_like(a_last), a_last], [-a_last.conj().T, np.zeros_like(a_last)]])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        r, rb = (list(_chain(_step, p, w, n))[-1] for w in (z, np.conj(z)))
+        r_inv = _omega(p.d) @ rb.conj().T @ right
+    return {"R": _finite(r, f"R_n at n={n}"), "R_inv": _finite(r_inv, f"R_n^-1 at n={n}")}
 
 
 def _tilde_step(p: JacobiParams, z: complex, n: int) -> np.ndarray:
     """K_n T_n(z) K_{n-1}^{-1} = [[0, A_n*], [-A_n^{-1}, A_n^{-1}(zI - B_n)]]."""
-    d, (a, b) = p.d, p.stack(n + 1)
-    eye = np.eye(d, dtype=complex)
-    t = np.zeros((2 * d, 2 * d), dtype=complex)
-    t[:d, d:] = a[n].conj().T
-    t[d:, :d] = -np.linalg.solve(a[n], eye)
-    t[d:, d:] = np.linalg.solve(a[n], z * eye - b[n])
-    return t
+    (a, b), eye = p.stack(n + 1), np.eye(p.d, dtype=complex)
+    return np.block([[np.zeros_like(eye), a[n].conj().T],
+                     [-np.linalg.solve(a[n], eye), np.linalg.solve(a[n], z * eye - b[n])]])
 
 
 def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
@@ -103,13 +93,11 @@ def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = p.d
-    omega = np.zeros((2 * d, 2 * d), dtype=complex)
-    omega[:d, d:] = np.eye(d)
-    omega[d:, :d] = -np.eye(d)
-    rt, rtb = (list(_chain(_tilde_step, p, w, n))[-1] for w in (z, np.conj(z)))
-    s = rtb.conj().T @ omega @ rt
-    with np.errstate(over="ignore"):  # an overflow to inf gives the same scale, max(1, inf)
+    omega = _omega(p.d)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rt, rtb = (list(_chain(_tilde_step, p, w, n))[-1] for w in (z, np.conj(z)))
+        s = _finite(rtb.conj().T @ omega @ rt, f"R~(conj z)* Omega R~(z) at n={n}")
+        # an overflow of the scale to inf gives the same scale, max(1, inf)
         scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
     return float(np.linalg.norm(omega - s, 2) / scale)
 
@@ -132,13 +120,16 @@ def lo_residual(p: JacobiParams, w: complex, k: int) -> dict:
         return float(np.linalg.norm(m, 2))
 
     qk, pk = pq_w.Q.term(k), pq_w.P.term(k)
-    m1 = qk @ pq_wb.P.term(k).conj().T - pk @ pq_wb.Q.term(k).conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        m1 = _finite(qk @ pq_wb.P.term(k).conj().T - pk @ pq_wb.Q.term(k).conj().T,
+                     f"the r1 defect at k={k}")
     scale1 = max(1.0, norm(qk) * norm(pq_wb.P.term(k)), norm(pk) * norm(pq_wb.Q.term(k)))
     out = {"r1": float(np.linalg.norm(m1, 2)) / scale1}
     if k >= 1:
         ainv = np.linalg.inv(p.A(k - 1))
-        m2 = (qk @ pq_wb.P.term(k - 1).conj().T
-              - pk @ pq_wb.Q.term(k - 1).conj().T - ainv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m2 = _finite(qk @ pq_wb.P.term(k - 1).conj().T
+                         - pk @ pq_wb.Q.term(k - 1).conj().T - ainv, f"the r2 defect at k={k}")
         scale2 = max(1.0, norm(qk) * norm(pq_wb.P.term(k - 1)),
                      norm(pk) * norm(pq_wb.Q.term(k - 1)), norm(ainv))
         out["r2"] = float(np.linalg.norm(m2, 2)) / scale2

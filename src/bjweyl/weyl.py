@@ -34,6 +34,7 @@ __all__ = [
     "default_n_rule",
 ]
 
+DEFAULT_N_RULE_C = 50.0  # N(eps) = ceil(C/eps) blocks
 RANK_REL = 1e-3  # _classify's rank: singular values of Im W above this share of the largest
 
 
@@ -186,7 +187,7 @@ def energy_identity_gap(p: JacobiParams, z: complex, N: int, v) -> dict:
             "w_bound_ok": bool(np.linalg.norm(w @ v) ** 2 <= rhs * (1 + 1e-8) + 1e-12)}
 
 
-def default_n_rule(eps: float, C: float = 50.0) -> int:
+def default_n_rule(eps: float, C: float = DEFAULT_N_RULE_C) -> int:
     """Truncation size N(eps) = ceil(C/eps); ValueError if it exceeds
     HORIZON_CAP, which is an integer, so ceil(C/eps) > cap iff C/eps > cap."""
     n = float(C) / float(eps)

@@ -390,3 +390,36 @@ def test_an_overflowing_sweep_is_a_row_error_and_an_undecided_label(
     assert [float(r["eps"]) for r in samples if r["error"]] == failed * len(labels)
     assert all(r["error"] == _NOT_FINITE and not r["tr_im"] for r in samples if r["error"])
     assert all(r["label"] == "undecided" and r["error"] == _NOT_FINITE for r in labels)
+
+
+def _run_quiet(tmp_path, capsys, **config):
+    """Run a config with numpy warnings raised as errors; return (exit code, rows)."""
+    path, out = write_config(tmp_path, **config), tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--config", path, "--out", str(out)])
+    assert capsys.readouterr().err == ""
+    return code, read_rows(out)
+
+
+def test_an_overflowing_gram_matrix_is_a_row_error_of_its_lambda(tmp_path, capsys):
+    # lambda = 30 lies outside the spectrum: G_t passes the double range between t = 75 and 150
+    code, rows = _run_quiet(tmp_path, capsys, family=FREE, command="nonsub",
+                            **{"lambda": {"min": 3.0, "max": 30.0, "steps": 2},
+                               "t_grid": {"max": 300.0, "steps": 4}})
+    assert code == 0
+    assert [r["lambda"] for r in rows] == ["3"] * 5 + ["30"]
+    assert rows[4]["verdict"] == "subordinate_evidence" and not rows[4]["error"]
+    assert rows[5] == {"lambda": "30", "t": "", "cond": "", "verdict": "",
+                       "growth_rate_per_step": "", "error": "overflow: G_t at t=150 is not finite"}
+
+
+def test_an_overflowing_transfer_identity_is_a_row_error_of_its_k(tmp_path, capsys):
+    # R~(30)* Omega R~(30) passes the double range at k = 105 (R_k itself at k = 209)
+    code, rows = _run_quiet(tmp_path, capsys, family=FREE, command="transfer-check",
+                            z=[30.0, 0.0], k_max=107)
+    assert code == 0
+    assert not any(r["error"] for r in rows[:104])
+    assert all(r["omega_residual"] != "nan" for r in rows[:104])
+    assert [r["error"] for r in rows[104:]] == [
+        f"overflow: R~(conj z)* Omega R~(z) at n={k} is not finite" for k in (105, 106, 107)]

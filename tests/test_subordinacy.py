@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bjweyl.seminorms import SeminormKind, seminorm
 from bjweyl.solutions import compute_PQ, solve_forward
 from bjweyl.subordinacy import (
     HorizonExhausted,
+    _pq_sq_nodes,
     jl_function,
     nonsub_diagnostic,
     solution_gram,
@@ -145,3 +147,88 @@ def test_report_requires_bounded_flag():
     rep = spectral_consequence_report(p, 0.0, diag)
     assert rep["claim"] is None
     assert "bounded" in rep["reason"]
+
+
+# --- the closed-form length function --------------------------------------
+
+ULP = float(np.finfo(float).eps)  # the spacing of doubles at 1
+
+
+def _jl_oracle(p, lam, eps, kind):
+    """ell at 50 digits from the same float nodes: the first node whose product
+    reaches 1/(2 eps) and the exact root of the quadratic on the segment before it."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    pn, qn = (list(map(mp.mpf, x)) for x in _pq_sq_nodes(p, lam, 64, kind))
+    t2 = (1 / (2 * mp.mpf(eps))) ** 2
+    m = next(i for i in range(len(pn)) if pn[i] * qn[i] >= t2)
+    dp, dq = pn[m] - pn[m - 1], qn[m] - qn[m - 1]
+    a, b, c = dp * dq, pn[m - 1] * dq + qn[m - 1] * dp, t2 - pn[m - 1] * qn[m - 1]
+    return m - 1 + 2 * c / (b + mp.sqrt(b * b + 4 * a * c))
+
+
+def test_jl_matches_a_50_digit_root_of_the_same_quadratic(rng):
+    # worst of 36 000 samples (d = 1-3, lam in [-3, 3], eps 0.3/0.1/0.03, both
+    # kinds): |ell - oracle| = 13.6 ulp * max(1, ell); pinned at 45 ulp
+    worst = 0.0
+    for d in (1, 2, 3):
+        for _ in range(3):
+            p = random_bounded_params(rng, d)
+            for lam in rng.uniform(-3.0, 3.0, 3):
+                for eps in (0.3, 0.1, 0.03):
+                    for kind in (SeminormKind.matrix_norm, SeminormKind.matrix_minmod):
+                        s = jl_function(p, float(lam), eps, kind)
+                        if s.ell >= 63:  # past the nodes the oracle reads
+                            continue
+                        exact = _jl_oracle(p, float(lam), eps, kind)
+                        worst = max(worst, float(abs(s.ell - exact)) / max(1.0, s.ell))
+                        assert s.residual <= 2 * ULP
+    assert worst <= 45 * ULP
+
+
+@pytest.mark.parametrize("family, lam, eps", [
+    (make_family("free", 1), 0.3, 0.005),
+    (make_family("periodic_modulated", 2, growth=0.0,
+                 A_period=[[[1.0, 0.3], [0.0, 0.8]], [[1.2, 0.0], [0.1, 0.9]]],
+                 B_period=[[[0.5, 0.2], [0.2, -0.4]], [[0.0, 0.0], [0.0, 0.0]]]), -1.0, 1e-3),
+])
+def test_jl_does_not_depend_on_the_first_horizon(monkeypatch, family, lam, eps):
+    import bjweyl.subordinacy as sub
+
+    # 100 is not a power of two: a root that depended on the bracket
+    # [0, horizon] would differ there, since brackets [0, 2^k] are nested
+    samples = []
+    for start in (64, 100, 1024):
+        monkeypatch.setattr(sub, "HORIZON_START", start)
+        samples.append(jl_function(family, lam, eps))
+    assert samples[0].ell > 100  # the walks from 64 and 100 double at least once
+    assert samples[0] == samples[1] == samples[2]
+
+
+@pytest.mark.parametrize("lam, eps, lo, hi", [
+    (0.0, 10.0, 0.0, 1.0),  # T = 0.05: the crossing is on [0, 1], where Q_0 = 0
+    (0.0, 0.5, 1.0, 1.0),  # free at 0: ||P||^2 = 1, 1, 2, 2, ... and ||Q||^2 = 0, 1, 1, 2, ...
+    (0.0, 0.1, 9.0, 9.0),  # node 9: 5 * 5 = T^2
+    (30.0, 1e-305, 103.0, 104.0),  # the product of the squared nodes passes the double range
+])
+def test_jl_residual_is_at_most_two_ulp(lam, eps, lo, hi):
+    s = jl_function(make_family("free", 1), lam, eps)
+    assert s.residual <= 2 * ULP
+    assert lo - math.ulp(hi) <= s.ell <= hi + math.ulp(hi)
+
+
+def test_jl_a_non_finite_node_on_the_crossing_segment_raises():
+    # at lam = 30 the squared seminorm of P passes the double range at t = 105,
+    # where the node product first reaches 1/(2 * 1e-308)
+    with pytest.raises(ArithmeticError, match=r"squared seminorm at t=105 is not finite"):
+        jl_function(make_family("free", 1), 30.0, 1e-308)
+
+
+def test_gram_condition_of_entries_near_the_double_range():
+    # G + G* would overflow; the halves do not, and the spread saturates
+    import bjweyl.subordinacy as sub
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sub._cond(np.array([[1e308, 0.0], [0.0, 1.0]])) == sub.COND_SATURATION

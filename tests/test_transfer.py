@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -95,3 +97,14 @@ def test_nstep_is_the_product_of_the_steps(rng, n):
     for k in range(1, n):
         r = transfer_step(p, z, k)["T"] @ r
     assert np.array_equal(transfer_nstep(p, z, n)["R"], r)
+
+
+@pytest.mark.parametrize("call, k, what", [
+    (transfer_nstep, 220, "R_n at n=220"),
+    (lo_residual, 106, "the r1 defect at k=106"),
+])
+def test_an_overflow_names_the_quantity_and_its_index(call, k, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=re.escape(f"overflow: {what} is not finite")):
+            call(make_family("free", 1), 30.0, k)
