@@ -32,6 +32,9 @@ __all__ = [
 HERM_TOL = 1e-10
 SINGULAR_TOL = 1e-10
 HORIZON_CAP = 2 ** 20  # blocks in one store: the cost bound of every walk along n
+# What numerical code raises when it cannot produce a value (LinAlgError and
+# ParamsError are ValueErrors); callers that record a failure catch these.
+NUMERICAL_ERRORS = (ArithmeticError, ValueError, IndexError)
 
 
 class ParamsError(ValueError):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, JacobiParams, _finite, make_family,
-                        validate_params)
+from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, NUMERICAL_ERRORS, JacobiParams, _finite,
+                        make_family, validate_params)
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import compute_PQ
@@ -45,9 +45,8 @@ class ConfigError(ValueError):
     pass
 
 
-# What numerical code raises when a run cannot produce a value (LinAlgError and
-# ParamsError are ValueErrors): a row error, or a config error on the family.
-_ROW_ERRORS = (ArithmeticError, ValueError, IndexError, HorizonExhausted)
+# What a command records as a row error, or as a config error on the family.
+_ROW_ERRORS = (*NUMERICAL_ERRORS, HorizonExhausted)
 
 
 @dataclass

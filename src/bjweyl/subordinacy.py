@@ -18,7 +18,7 @@ import numpy as np
 from .blockcore import HORIZON_CAP, JacobiParams, _finite
 from .seminorms import SeminormKind, seminorm_nodes
 from .solutions import compute_PQ
-from .transfer import _chain, _step
+from .transfer import _chain
 
 __all__ = [
     "JLSample",
@@ -99,7 +99,7 @@ def _sel_chain(p: JacobiParams, z: complex, n: int) -> list[np.ndarray]:
     """Lower d-block rows of R_0 = I, R_1, ..., R_n."""
     d = p.d
     sel = np.hstack([np.zeros((d, d)), np.eye(d)]).astype(complex)
-    return [sel] + [r[d:].copy() for r in _chain(_step, p, z, n)]
+    return [sel] + [r[d:].copy() for r in _chain(p, z, n)]
 
 
 def gram_nodes(p: JacobiParams, z: complex, ts) -> dict:

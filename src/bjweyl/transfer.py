@@ -36,12 +36,12 @@ def _omega(d: int) -> np.ndarray:
     return np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(d)).astype(complex)
 
 
-def _chain(step, p: JacobiParams, z: complex, n: int):
-    """Yield the running products S_0, S_1 S_0, ..., S_{n-1} ... S_0 of S_k = step(p, z, k)."""
+def _chain(p: JacobiParams, z: complex, n: int):
+    """Yield the running products R_1 = T_0, R_2 = T_1 T_0, ..., R_n = T_{n-1} ... T_0."""
     r = None
     p.stack(n)  # the chain's blocks enter the store, checked, in one slab
     for k in range(n):
-        r = step(p, z, k) if r is None else step(p, z, k) @ r
+        r = _step(p, z, k) if r is None else _step(p, z, k) @ r
         yield r
 
 
@@ -72,30 +72,26 @@ def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
     a_last = p.A(n - 1)
     right = np.block([[np.zeros_like(a_last), a_last], [-a_last.conj().T, np.zeros_like(a_last)]])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        r, rb = (list(_chain(_step, p, w, n))[-1] for w in (z, np.conj(z)))
+        r, rb = (list(_chain(p, w, n))[-1] for w in (z, np.conj(z)))
         r_inv = _omega(p.d) @ rb.conj().T @ right
     return {"R": _finite(r, f"R_n at n={n}"), "R_inv": _finite(r_inv, f"R_n^-1 at n={n}")}
-
-
-def _tilde_step(p: JacobiParams, z: complex, n: int) -> np.ndarray:
-    """K_n T_n(z) K_{n-1}^{-1} = [[0, A_n*], [-A_n^{-1}, A_n^{-1}(zI - B_n)]]."""
-    (a, b), eye = p.stack(n + 1), np.eye(p.d, dtype=complex)
-    return np.block([[np.zeros_like(eye), a[n].conj().T],
-                     [-np.linalg.solve(a[n], eye), np.linalg.solve(a[n], z * eye - b[n])]])
 
 
 def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     """Relative residual of the symplectic-type conjugation identity.
 
-    Builds the rescaled chain product at z and at conj z and returns
-    ||Omega - R~(conj z)* Omega R~(z)|| scaled by max(1, ||R~(conj z)|| ||R~(z)||);
+    R~_n = K_{n-1} R_n K_{-1}^{-1}, the product of the rescaled steps K_k T_k K_{k-1}^{-1}
+    (K_m = diag(A_m*, I), K_{-1}^{-1} = diag(-I, I)), is read off the one transfer chain.
+    Returns ||Omega - R~(conj z)* Omega R~(z)|| scaled by max(1, ||R~(conj z)|| ||R~(z)||);
     the factors grow exponentially in n, so the raw defect is meaningless.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    omega = _omega(p.d)
+    d, omega = p.d, _omega(p.d)
+    a_last_adj, k_first_inv = p.A(n - 1).conj().T, np.repeat([-1.0, 1.0], d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rt, rtb = (list(_chain(_tilde_step, p, w, n))[-1] for w in (z, np.conj(z)))
+        r, rb = (list(_chain(p, w, n))[-1] for w in (z, np.conj(z)))
+        rt, rtb = (np.vstack([a_last_adj @ m[:d], m[d:]]) * k_first_inv for m in (r, rb))
         s = _finite(rtb.conj().T @ omega @ rt, f"R~(conj z)* Omega R~(z) at n={n}")
         # an overflow of the scale to inf gives the same scale, max(1, inf)
         scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
@@ -120,19 +116,13 @@ def lo_residual(p: JacobiParams, w: complex, k: int) -> dict:
         return float(np.linalg.norm(m, 2))
 
     qk, pk = pq_w.Q.term(k), pq_w.P.term(k)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        m1 = _finite(qk @ pq_wb.P.term(k).conj().T - pk @ pq_wb.Q.term(k).conj().T,
-                     f"the r1 defect at k={k}")
-    scale1 = max(1.0, norm(qk) * norm(pq_wb.P.term(k)), norm(pk) * norm(pq_wb.Q.term(k)))
-    out = {"r1": float(np.linalg.norm(m1, 2)) / scale1}
-    if k >= 1:
-        ainv = np.linalg.inv(p.A(k - 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            m2 = _finite(qk @ pq_wb.P.term(k - 1).conj().T
-                         - pk @ pq_wb.Q.term(k - 1).conj().T - ainv, f"the r2 defect at k={k}")
-        scale2 = max(1.0, norm(qk) * norm(pq_wb.P.term(k - 1)),
-                     norm(pk) * norm(pq_wb.Q.term(k - 1)), norm(ainv))
-        out["r2"] = float(np.linalg.norm(m2, 2)) / scale2
-    else:
-        out["r2"] = float("nan")
-    return out
+
+    def defect(j: int, target: np.ndarray, name: str) -> float:
+        pj, qj = pq_wb.P.term(j), pq_wb.Q.term(j)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            m = _finite(qk @ pj.conj().T - pk @ qj.conj().T - target, f"the {name} defect at k={k}")
+        return norm(m) / max(1.0, norm(qk) * norm(pj), norm(pk) * norm(qj), norm(target))
+
+    # r1 first: its overflow is the one raised when both overflow
+    return {"r1": defect(k, np.zeros_like(qk), "r1"),
+            "r2": defect(k - 1, np.linalg.inv(p.A(k - 1)), "r2") if k >= 1 else float("nan")}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .blockcore import HORIZON_CAP, BlockMatSeq, JacobiParams
+from .blockcore import HORIZON_CAP, NUMERICAL_ERRORS, BlockMatSeq, JacobiParams
 from .solutions import MgevSolution
 from .subordinacy import gev_l2_dimension
 
@@ -152,11 +152,13 @@ def weyl_solution(p: JacobiParams, z: complex, w: np.ndarray, n_max: int) -> Mge
     Evaluated through the resolvent columns of an enlarged section rather
     than by running the recurrence from (I, W): forward iteration leaks
     rounding into the non-square-summable direction and destroys the tail.
-    U_0 agrees with the supplied w up to truncation error.
+    U_0 agrees with the supplied w up to truncation error: the section reaches
+    at least ``default_n_rule(|Im z|)`` blocks past n_max (its cap error bounds
+    the cost), since near the spectrum the columns decay at a rate of order |Im z|.
     """
     if z.imag == 0:
         raise ValueError("the l2 solution needs Im z != 0")
-    pad = max(25, n_max // 2)
+    pad = max(25, n_max // 2, default_n_rule(abs(z.imag)))
     blocks = _resolvent_columns(p, z, n_max + 1 + pad)
     eye = np.eye(p.d, dtype=complex)
     arr = np.concatenate([eye[None], blocks[:n_max + 1]])
@@ -253,7 +255,7 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
         try:
             rungs.append(weyl_schur(p, np.array([complex(lam, eps) for lam in lambda_grid]),
                                     n_rule(eps)).W)
-        except (ArithmeticError, ValueError, IndexError):
+        except NUMERICAL_ERRORS:
             rungs.append(None)
     rows = []
     classification = []
@@ -262,7 +264,7 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
         for eps, rung in zip(eps_ladder, rungs):
             try:
                 w = weyl_schur(p, complex(lam, eps), n_rule(eps)).W if rung is None else rung[i]
-            except (ArithmeticError, ValueError, IndexError) as exc:
+            except NUMERICAL_ERRORS as exc:
                 errors.append(str(exc))
                 rows.append({"lambda": float(lam), "eps": float(eps),
                              "W": None, "tr_im": math.nan, "error": errors[-1]})

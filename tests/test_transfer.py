@@ -108,3 +108,62 @@ def test_an_overflow_names_the_quantity_and_its_index(call, k, what):
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match=re.escape(f"overflow: {what} is not finite")):
             call(make_family("free", 1), 30.0, k)
+
+
+def _rescaled_product(p, z, n):
+    """R~_n = T~_{n-1} ... T~_0, T~_k = [[0, A_k*], [-A_k^{-1}, A_k^{-1}(zI - B_k)]],
+    multiplied out step by step."""
+    eye = np.eye(p.d, dtype=complex)
+    r = np.eye(2 * p.d, dtype=complex)
+    for k in range(n):
+        a, b = p.A(k), p.B(k)
+        r = np.block([[np.zeros_like(eye), a.conj().T],
+                      [-np.linalg.solve(a, eye), np.linalg.solve(a, z * eye - b)]]) @ r
+    return r
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_omega_residual_matches_the_rescaled_step_product(d):
+    rng = np.random.default_rng(400 + d)
+    p = random_bounded_params(rng, d, n_blocks=50)
+    omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(d))
+    for z in (0.7, -1.3 + 0.4j, 0.2 - 0.9j, 2.5 + 1e-3j):
+        for n in (1, 2, 3, 7, 20, 50):
+            rt, rtb = _rescaled_product(p, z, n), _rescaled_product(p, np.conj(z), n)
+            scale = max(1.0, np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2))
+            want = np.linalg.norm(omega - rtb.conj().T @ omega @ rt, 2) / scale
+            assert abs(omega_identity_residual(p, z, n) - want) <= 1e-15, (z, n)
+
+
+def _lo_residual_two_blocks(p, w, k):
+    """lo_residual with r1 and r2 written out separately."""
+    n_eval = max(k, 1)
+    pq_w, pq_wb = compute_PQ(p, w, n_eval), compute_PQ(p, np.conj(w), n_eval)
+
+    def norm(m):
+        return float(np.linalg.norm(m, 2))
+
+    qk, pk = pq_w.Q.term(k), pq_w.P.term(k)
+    m1 = qk @ pq_wb.P.term(k).conj().T - pk @ pq_wb.Q.term(k).conj().T
+    scale1 = max(1.0, norm(qk) * norm(pq_wb.P.term(k)), norm(pk) * norm(pq_wb.Q.term(k)))
+    out = {"r1": norm(m1) / scale1, "r2": float("nan")}
+    if k >= 1:
+        ainv = np.linalg.inv(p.A(k - 1))
+        m2 = qk @ pq_wb.P.term(k - 1).conj().T - pk @ pq_wb.Q.term(k - 1).conj().T - ainv
+        scale2 = max(1.0, norm(qk) * norm(pq_wb.P.term(k - 1)),
+                     norm(pk) * norm(pq_wb.Q.term(k - 1)), norm(ainv))
+        out["r2"] = norm(m2) / scale2
+    return out
+
+
+def test_lo_residual_matches_the_two_block_form():
+    rng = np.random.default_rng(77)
+    for case in range(40):
+        d = int(rng.integers(1, 4))
+        p = random_bounded_params(rng, d, n_blocks=31)
+        w = complex(rng.uniform(-3, 3), rng.choice([-1, 0, 1]) * rng.uniform(0, 2))
+        k = 0 if case < 4 else int(rng.integers(0, 31))
+        got, want = lo_residual(p, w, k), _lo_residual_two_blocks(p, w, k)
+        assert list(got) == ["r1", "r2"]
+        assert got["r1"] == want["r1"], (d, w, k)
+        assert got["r2"] == want["r2"] or (k == 0 and math.isnan(got["r2"])), (d, w, k)

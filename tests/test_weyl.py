@@ -298,3 +298,13 @@ def test_a_non_finite_sweep_raises_for_its_z_only_without_a_numpy_warning():
         assert scan.classification[i]["label"] == per_lambda.classification[j]["label"]
         assert all(np.array_equal(a["W"], b["W"])
                    for a, b in zip(scan.rows[3 * i:3 * i + 3], per_lambda.rows[3 * j:3 * j + 3]))
+
+
+def test_weyl_solution_pads_for_small_im_z():
+    # near the spectrum the resolvent columns decay at a rate of order Im z,
+    # so a pad fixed by n_max truncates U_0 away from W
+    p = make_family("free", 1)
+    z = 0.3 + 0.01j
+    w = weyl_schur(p, z, 4 * default_n_rule(z.imag)).W
+    u = weyl_solution(p, z, w, 40)
+    assert np.abs(u.seq.term(0) - w).max() < 1e-12
