@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, NUMERICAL_ERRORS, JacobiParams, _finite,
-                        make_family, validate_params)
+from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, JacobiParams, _finite, make_family,
+                        validate_params)
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import compute_PQ
-from .subordinacy import DEFAULT_COND_CAP, HorizonExhausted, jl_function, nonsub_diagnostic
+from .subordinacy import DEFAULT_COND_CAP, ROW_ERRORS, _value, jl_function, nonsub_diagnostic
 from .transfer import lo_residual, omega_identity_residual, transfer_nstep, transfer_step
 from .weyl import (DEFAULT_N_RULE_C, _check_ladder, boundary_scan, default_n_rule,
                    weyl_resolvent, weyl_schur)
@@ -43,10 +43,6 @@ _LAMBDA_KEYS = ("min", "max", "steps")
 
 class ConfigError(ValueError):
     pass
-
-
-# What a command records as a row error, or as a config error on the family.
-_ROW_ERRORS = (*NUMERICAL_ERRORS, HorizonExhausted)
 
 
 @dataclass
@@ -107,7 +103,7 @@ def _row_errors(row: dict):
         yield
     except ConfigError:
         raise
-    except _ROW_ERRORS as exc:
+    except ROW_ERRORS as exc:
         row["error"] = str(exc)
 
 
@@ -363,14 +359,15 @@ def _cmd_cauchy_check(cfg: RunConfig):
 
 def _cmd_jl(cfg: RunConfig):
     p = cfg.params()
-    variant = SeminormKind(cfg.seminorm)
+    lams = cfg.lambdas()
     fields = ["lambda", "eps", "ell", "residual", "error"]
     rows = []
-    for lam in cfg.lambdas():
-        for eps in cfg.eps_ladder:
+    samples = jl_function(p, lams, np.array(cfg.eps_ladder), SeminormKind(cfg.seminorm))
+    for lam, row_samples in zip(lams, samples):
+        for eps, s in zip(cfg.eps_ladder, row_samples):
             row = {"lambda": _num(lam), "eps": _num(eps)}
             with _row_errors(row):
-                s = jl_function(p, float(lam), eps, variant)
+                s = _value(s)
                 row["ell"] = _num(s.ell)
                 row["residual"] = _num(s.residual)
             rows.append(row)
@@ -379,12 +376,13 @@ def _cmd_jl(cfg: RunConfig):
 
 def _cmd_nonsub(cfg: RunConfig):
     p = cfg.params()
+    lams = cfg.lambdas()
     fields = ["lambda", "t", "cond", "verdict", "growth_rate_per_step", "error"]
     rows = []
-    for lam in cfg.lambdas():
+    for lam, diag in zip(lams, nonsub_diagnostic(p, lams, cfg.ts(), cap=cfg.cap)):
         row = {"lambda": _num(lam)}
         with _row_errors(row):
-            diag = nonsub_diagnostic(p, float(lam), cfg.ts(), cap=cfg.cap)
+            diag = _value(diag)
             rows += [{"lambda": _num(lam), "t": _num(t), "cond": _num(cond)}
                      for t, cond in diag["cond_trajectory"]]
             row["verdict"] = diag["verdict"]
@@ -453,7 +451,7 @@ def run(cfg: RunConfig) -> int:
         fields, rows = _DISPATCH[cfg.command](cfg)
     except ConfigError:
         raise
-    except _ROW_ERRORS as exc:  # raised outside any row: the family cannot be run
+    except ROW_ERRORS as exc:  # raised outside any row: the family cannot be run
         raise ConfigError(f"family: {exc}") from exc
     if rows and all(r.get("error") for r in rows):
         status = 2

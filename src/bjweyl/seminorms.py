@@ -14,7 +14,8 @@ import numpy as np
 
 from .blockcore import BlockMatSeq, BlockVecSeq
 
-__all__ = ["SeminormKind", "affine_interp", "seminorm", "seminorm_nodes", "quotient_brackets"]
+__all__ = ["SeminormKind", "affine_interp", "seminorm", "seminorm_nodes", "squared_terms",
+           "quotient_brackets"]
 
 
 class SeminormKind(str, Enum):
@@ -40,24 +41,35 @@ def affine_interp(f, t: float, start: int = 0) -> float:
     return float(f[i]) + frac * (float(f[i + 1]) - float(f[i]))
 
 
+def _check_kind(kind: SeminormKind, vectors: bool) -> None:
+    if vectors != (kind is SeminormKind.vector_norm):
+        raise ValueError("vector_norm applies to vector sequences, the matrix "
+                         "variants to matrix sequences")
+
+
+def squared_terms(t: np.ndarray, kind: SeminormKind) -> np.ndarray:
+    """The squared term functional of each term of the stack t, in one batched
+    call: (..., d) vectors for vector_norm, (..., d, d) blocks otherwise.  Past
+    the double range a square is ``inf``; no term may be non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is SeminormKind.vector_norm:
+            return (t.conj()[..., None, :] @ t[..., :, None])[..., 0, 0].real
+        # float_power squares with C pow, elementwise, as scalar ** 2 does
+        sv = np.linalg.svd(t, compute_uv=False)
+        return np.float_power(sv[..., 0] if kind is SeminormKind.matrix_norm else sv[..., -1], 2)
+
+
 def seminorm_nodes(x: BlockVecSeq | BlockMatSeq, kind: SeminormKind, n1: int, n2: int) -> np.ndarray:
     """Squared partial sums at integer nodes n1..n2 (cumulative term functionals).
 
     The terms are evaluated in one batched call and are zero beyond the
     stored range.  A partial sum beyond the double range is ``inf``.
     """
-    if (x.terms.ndim == 2) != (kind is SeminormKind.vector_norm):
-        raise ValueError("vector_norm applies to vector sequences, the matrix "
-                         "variants to matrix sequences")
+    _check_kind(kind, x.terms.ndim == 2)
     if n1 < x.start:
         raise IndexError(f"index {n1} below start {x.start}")
-    t = x.terms[n1 - x.start:n2 - x.start + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind is SeminormKind.vector_norm:
-            sq = (t.conj()[:, None, :] @ t[:, :, None])[:, 0, 0].real
-        else:  # float_power squares with C pow, elementwise, as scalar ** 2 does
-            sv = np.linalg.svd(t, compute_uv=False)
-            sq = np.float_power(sv[:, 0] if kind is SeminormKind.matrix_norm else sv[:, -1], 2)
+    sq = squared_terms(x.terms[n1 - x.start:n2 - x.start + 1], kind)
+    with np.errstate(over="ignore"):
         return np.cumsum(np.concatenate([sq, np.zeros(max(0, n2 - n1 + 1 - len(sq)))]))
 
 

@@ -49,8 +49,8 @@ class PolyPair:
     """First/second kind matrix orthogonal polynomial values P_n(z), Q_n(z)."""
 
     z: complex
-    P: BlockMatSeq  # start -1
-    Q: BlockMatSeq  # start -1
+    P: BlockMatSeq  # start -1; a term array for an array z (``compute_PQ``)
+    Q: BlockMatSeq
     n_max: int
 
 
@@ -61,20 +61,30 @@ def _a_prev_adj(a: np.ndarray, n: int) -> np.ndarray:
     return a[n - 1].conj().T
 
 
-def _steps(p: JacobiParams, z: complex, c_prev: np.ndarray, c_cur: np.ndarray,
+def _steps(p: JacobiParams, z, c_prev: np.ndarray, c_cur: np.ndarray,
            first_n: int, n_max: int) -> np.ndarray:
-    """The stacked terms of the forward recurrence from c_prev/c_cur at indices
-    first_n-1, first_n; an overflow raises a ValueError naming the first bad n."""
-    eye, (a, b) = np.eye(p.d, dtype=complex), p.stack(n_max)
-    out = [c_prev, c_cur]
-    prev, cur = c_prev, c_cur
-    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
-        for n in range(first_n, n_max):
-            rhs = (z * eye - b[n]) @ cur - _a_prev_adj(a, n) @ prev
-            nxt = np.linalg.solve(a[n], rhs)
-            out.append(nxt)
-            prev, cur = cur, nxt
-    terms = np.stack(out)
+    """The stacked terms u_{first_n-1}, ..., u_{n_max} of the forward recurrence
+    from c_prev/c_cur at indices first_n-1, first_n, unchecked: past the double
+    range a term is left inf or nan.
+
+    An array z is one walk for all its values, each step one solve with A_n:
+    matrix terms of shape (..., *z.shape, d, d), each bit-identical to the walk
+    at that z alone.
+    """
+    (a, b), zi = p.stack(n_max), np.multiply.outer(z, np.eye(p.d, dtype=complex))
+    out = np.empty((n_max - first_n + 2, *np.broadcast_shapes(c_prev.shape, c_cur.shape)),
+                   dtype=complex)
+    out[0], out[1] = c_prev, c_cur
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers check
+        for i, n in enumerate(range(first_n, n_max), 2):
+            rhs = (zi - b[n]) @ out[i - 1] - _a_prev_adj(a, n) @ out[i - 2]
+            out[i] = np.linalg.solve(a[n], rhs)
+    return out
+
+
+def _checked(terms: np.ndarray, first_n: int) -> np.ndarray:
+    """terms of a walk from index first_n - 1, or a ValueError naming the first index
+    whose term is not finite."""
     bad = np.flatnonzero(~np.isfinite(terms.reshape(len(terms), -1)).all(axis=1))
     if len(bad):
         raise ValueError(f"recurrence overflows: term at n={first_n - 1 + bad[0]} is not finite")
@@ -95,14 +105,10 @@ def solve_forward(p: JacobiParams, z: complex, init, mode: str = "from01",
     shape = (d, d) if matrix else (d,)
     c_a = np.asarray(init[0], dtype=complex).reshape(shape)
     c_b = np.asarray(init[1], dtype=complex).reshape(shape)
-    if mode == "from01":
-        arr = _steps(p, z, c_a, c_b, first_n=1, n_max=n_max)
-        start = 0
-    elif mode == "from_minus1":
-        arr = _steps(p, z, c_a, c_b, first_n=0, n_max=n_max)
-        start = -1
-    else:
+    if mode not in ("from01", "from_minus1"):
         raise ValueError(f"unknown mode {mode!r}")
+    start = 0 if mode == "from01" else -1
+    arr = _checked(_steps(p, z, c_a, c_b, start + 1, n_max), start + 1)
     if matrix:
         return MgevSolution(z, BlockMatSeq(arr, start=start))
     return GevSolution(z, BlockVecSeq(arr, start=start))
@@ -121,13 +127,23 @@ def extend_to_minus_one(p: JacobiParams, z: complex, u):
     return GevSolution(z, BlockVecSeq(arr, start=-1))
 
 
-def compute_PQ(p: JacobiParams, z: complex, n_max: int) -> PolyPair:
-    """P and Q up to index n_max, from the (-1, 0) initial data (0, I) / (I, 0)."""
-    eye = np.eye(p.d, dtype=complex)
-    zero = np.zeros((p.d, p.d), dtype=complex)
-    P = solve_forward(p, z, (zero, eye), mode="from_minus1", matrix=True, n_max=n_max)
-    Q = solve_forward(p, z, (eye, zero), mode="from_minus1", matrix=True, n_max=n_max)
-    return PolyPair(z, P.seq, Q.seq, n_max)
+def compute_PQ(p: JacobiParams, z, n_max: int) -> PolyPair:
+    """P and Q up to index n_max, from the (-1, 0) initial data (0, I) / (I, 0),
+    in one walk; an overflow of P is named before one of Q.
+
+    An array z is one walk for all its values: P and Q are then unchecked
+    (n_max + 2, *z.shape, d, d) term arrays from index -1, each entry
+    bit-identical to the call at that z alone, so that one z's overflow
+    leaves the others for the caller to judge.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    eye = np.broadcast_to(np.eye(p.d, dtype=complex), np.shape(z) + (p.d, p.d))
+    zero = np.zeros_like(eye)
+    terms = _steps(p, z, np.stack([zero, eye]), np.stack([eye, zero]), 0, n_max)  # (n, P/Q, ...)
+    if np.ndim(z):
+        return PolyPair(z, terms[:, 0], terms[:, 1], n_max)
+    return PolyPair(z, *(BlockMatSeq(_checked(terms[:, i], 0), start=-1) for i in (0, 1)), n_max)
 
 
 def decompose(u: MgevSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -23,12 +23,16 @@ __all__ = [
 ]
 
 
-def _step(p: JacobiParams, z: complex, n: int) -> np.ndarray:
-    """T_n(z) = [[0, I], [-A_n^{-1} A_{n-1}*, A_n^{-1}(zI - B_n)]]."""
-    (a, b), eye = p.stack(n + 1), np.eye(p.d, dtype=complex)
-    return np.block([[np.zeros_like(eye), eye],
-                     [-np.linalg.solve(a[n], _a_prev_adj(a, n)),
-                      np.linalg.solve(a[n], z * eye - b[n])]])
+def _step(p: JacobiParams, z, n: int) -> np.ndarray:
+    """T_n(z) = [[0, I], [-A_n^{-1} A_{n-1}*, A_n^{-1}(zI - B_n)]]; a z.shape + (2d, 2d)
+    stack for an array z, each entry bit-identical to the step at that z alone."""
+    (a, b), d = p.stack(n + 1), p.d
+    zi = np.multiply.outer(z, np.eye(d, dtype=complex))
+    t = np.zeros(zi.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    t[..., :d, d:] = np.eye(d)
+    t[..., d:, :d] = -np.linalg.solve(a[n], _a_prev_adj(a, n))
+    t[..., d:, d:] = np.linalg.solve(a[n], zi - b[n])
+    return t
 
 
 def _omega(d: int) -> np.ndarray:
@@ -36,8 +40,9 @@ def _omega(d: int) -> np.ndarray:
     return np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(d)).astype(complex)
 
 
-def _chain(p: JacobiParams, z: complex, n: int):
-    """Yield the running products R_1 = T_0, R_2 = T_1 T_0, ..., R_n = T_{n-1} ... T_0."""
+def _chain(p: JacobiParams, z, n: int):
+    """Yield the running products R_1 = T_0, R_2 = T_1 T_0, ..., R_n = T_{n-1} ... T_0;
+    an array z is one chain for all its values, as in ``_step``."""
     r = None
     p.stack(n)  # the chain's blocks enter the store, checked, in one slab
     for k in range(n):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .blockcore import HORIZON_CAP, NUMERICAL_ERRORS, BlockMatSeq, JacobiParams
 from .solutions import MgevSolution
@@ -137,6 +136,8 @@ def weyl_schur(p: JacobiParams, z, N: int) -> WeylSample:
 
 def _resolvent_columns(p: JacobiParams, z: complex, N: int) -> np.ndarray:
     """First d columns of (H - zI)^{-1} as an (N, d, d) block stack."""
+    import scipy.linalg  # its only user: the import costs more than most commands
+
     d = p.d
     ab = _banded_shifted(p, z, N)
     rhs = np.zeros((N * d, d), dtype=complex)
@@ -158,7 +159,11 @@ def weyl_solution(p: JacobiParams, z: complex, w: np.ndarray, n_max: int) -> Mge
     """
     if z.imag == 0:
         raise ValueError("the l2 solution needs Im z != 0")
-    pad = max(25, n_max // 2, default_n_rule(abs(z.imag)))
+    try:
+        pad = max(25, n_max // 2, default_n_rule(abs(z.imag)))
+    except ValueError:
+        raise ValueError(f"Im z = {z.imag!r} needs a section above the cap of "
+                         f"{HORIZON_CAP} blocks") from None
     blocks = _resolvent_columns(p, z, n_max + 1 + pad)
     eye = np.eye(p.d, dtype=complex)
     arr = np.concatenate([eye[None], blocks[:n_max + 1]])

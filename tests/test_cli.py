@@ -423,3 +423,24 @@ def test_an_overflowing_transfer_identity_is_a_row_error_of_its_k(tmp_path, caps
     assert all(r["omega_residual"] != "nan" for r in rows[:104])
     assert [r["error"] for r in rows[104:]] == [
         f"overflow: R~(conj z)* Omega R~(z) at n={k} is not finite" for k in (105, 106, 107)]
+
+
+def test_a_far_lambda_is_a_jl_row_without_an_error(tmp_path, capsys):
+    # P_n(1e6) overflows at n = 52; every target is reached at node 1
+    code, rows = _run_quiet(tmp_path, capsys, family=FREE, command="jl",
+                            **{"lambda": {"min": 1e6, "max": 1e6, "steps": 1}})
+    assert code == 0
+    assert len(rows) == len(RunConfig().eps_ladder)
+    assert all(not r["error"] and 0.0 < float(r["ell"]) < 1.0 for r in rows)
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(Path(bjweyl.cli.__file__).parents[1])}
+    code = "import sys, bjweyl.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout == "False\n"

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from bjweyl.blockcore import make_family
-from bjweyl.seminorms import SeminormKind, seminorm
+from bjweyl.blockcore import JacobiParams, make_family
+from bjweyl.seminorms import SeminormKind, seminorm, seminorm_nodes
 from bjweyl.solutions import compute_PQ, solve_forward
 from bjweyl.subordinacy import (
     HorizonExhausted,
+    JLSample,
     _pq_sq_nodes,
+    gram_nodes,
     jl_function,
     nonsub_diagnostic,
     solution_gram,
@@ -232,3 +234,139 @@ def test_gram_condition_of_entries_near_the_double_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert sub._cond(np.array([[1e308, 0.0], [0.0, 1.0]])) == sub.COND_SATURATION
+
+
+# --- one walk per call over an array of lambda ------------------------------
+
+def _same_outcome(x, y):
+    """Equal samples, trajectories or dicts, or exceptions of one type and text."""
+    if isinstance(x, Exception) or isinstance(y, Exception):
+        return type(x) is type(y) and str(x) == str(y)
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_outcome(x[k], y[k]) for k in x)
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(_same_outcome(a, b) for a, b in zip(x, y))
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y or (x != x and y != y)  # NaN growth rates on both sides
+
+
+def _alone(f, *args):
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError, IndexError, HorizonExhausted) as exc:
+        return exc
+
+
+def _random_periodic_family(rng, d, period=3):
+    """A random period-3 perturbation of the free family: bands near [-2, 2], where
+    ell grows like 1/eps, and gaps outside."""
+    def noise():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    a = [np.eye(d) + 0.2 * noise() for _ in range(period)]
+    b = [0.15 * (h + h.conj().T) for h in (noise() for _ in range(period))]
+    return make_family("periodic_modulated", d, A_period=a, B_period=b, growth=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jl_on_a_lambda_grid_equals_the_calls_one_pair_at_a_time(rng, d):
+    # [-4, 4] holds band and gap points; eps = 1e-3 walks past 64 in the bands
+    p = _random_periodic_family(rng, d)
+    lams, ladder = np.linspace(-4.0, 4.0, 9), [0.3, 0.05, 0.01, 1e-3]
+    for kind in (SeminormKind.matrix_norm, SeminormKind.matrix_minmod):
+        grid = jl_function(p, lams, ladder, kind)
+        alone = [[_alone(jl_function, p, lam, eps, kind) for eps in ladder] for lam in lams]
+        assert all(isinstance(s, JLSample) for row in grid for s in row)
+        assert _same_outcome(grid, alone)
+        assert max(s.ell for row in grid for s in row) > 64
+        # the nodes are those of compute_PQ and seminorm_nodes at each lam alone
+        for lam, (pn, qn) in zip(lams, _pq_sq_nodes(p, lams, 2 ** 20, kind, 1 / (2 * ladder[-1]))):
+            pq = compute_PQ(p, float(lam), len(pn))
+            assert np.array_equal(pn, seminorm_nodes(pq.P, kind, 0, len(pn) - 1))
+            assert np.array_equal(qn, seminorm_nodes(pq.Q, kind, 0, len(qn) - 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gram_nodes_on_an_array_of_z_equal_the_scalar_calls(rng, d):
+    p = _random_periodic_family(rng, d)
+    lams, ts = np.linspace(-3.5, 3.5, 8), [0.0, 0.5, 3.0, 17.25, 64.0, 99.5]
+    grid = gram_nodes(p, lams, ts)
+    for i, lam in enumerate(lams):
+        alone = gram_nodes(p, float(lam), ts)
+        assert all(np.array_equal(grid[t][i], alone[t]) for t in ts)
+    trajs = nonsub_diagnostic(p, lams, np.linspace(2.0, 120.0, 12))
+    assert _same_outcome(trajs, [nonsub_diagnostic(p, lam, np.linspace(2.0, 120.0, 12))
+                                 for lam in lams])
+
+
+def test_an_overflowing_lambda_leaves_its_neighbours_unchanged():
+    # B_5 = 1e307: at lam = 3, P_6 = (3 - 1e307) P_5 is not finite while every
+    # node before it is, so eps whose target lies past node 5 fail at n = 6
+    p = make_family("diagonal", 1, components=[{"a": 1.0, "b": [0.0] * 5 + [1e307] + [0.0] * 194}])
+    ladder = [0.1, 1e-4, 1e-10]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = jl_function(p, [-0.5, 3.0, 0.7], ladder)
+        plain = jl_function(p, [-0.5, 0.7], ladder)
+        grams = nonsub_diagnostic(p, [-0.5, 3.0, 0.7], np.linspace(10.0, 150.0, 8))
+    assert _same_outcome([mixed[0], mixed[2]], plain)
+    assert [type(s) for s in mixed[1]] == [JLSample, JLSample, ValueError]
+    assert str(mixed[1][2]) == "recurrence overflows: term at n=6 is not finite"
+    assert _same_outcome(mixed[1], [_alone(jl_function, p, 3.0, eps) for eps in ladder])
+    assert _same_outcome(grams, [_alone(nonsub_diagnostic, p, lam, np.linspace(10.0, 150.0, 8))
+                                 for lam in (-0.5, 3.0, 0.7)])
+    assert all(isinstance(g, ArithmeticError) for g in grams)  # B_5 enters every Gram
+
+
+def test_a_far_lambda_needs_only_the_nodes_before_its_overflow():
+    # P_n(1e6) overflows at n = 52, but the product passes 1/(2 eps) at node 1
+    s = jl_function(make_family("free", 1), 1e6, 0.1)
+    assert 0.0 < s.ell < 1.0 and s.residual <= 2 * ULP
+
+
+def test_a_rule_that_raises_gives_each_pair_its_own_outcome(rng):
+    # the walk past 96 blocks raises; pairs whose target is reached before keep their values
+    base = _random_periodic_family(rng, 2)
+
+    def rule(n):
+        if n >= 96:
+            raise ValueError(f"no block at n={n}")
+        return base.rule(n)
+
+    p = JacobiParams(2, rule)
+    lams, ladder = np.linspace(-3.0, 3.0, 7), [0.5, 0.05, 1e-3]
+    grid = jl_function(p, lams, ladder)
+    alone = [[_alone(jl_function, p, lam, eps) for eps in ladder] for lam in lams]
+    assert _same_outcome(grid, alone)
+    errors = [str(s) for row in grid for s in row if isinstance(s, Exception)]
+    assert errors and set(errors) == {"no block at n=96"}
+    assert any(isinstance(s, JLSample) for row in grid for s in row)
+    ts = np.linspace(10.0, 120.0, 4)  # G_t at t = 120 needs 121 blocks
+    assert _same_outcome(nonsub_diagnostic(p, lams, ts),
+                         [_alone(nonsub_diagnostic, p, lam, ts) for lam in lams])
+
+
+def test_jl_makes_one_walk_to_the_cap(monkeypatch):
+    # a = 1e308: Q_n stays near 1e-308 and the product never reaches a target
+    import bjweyl.solutions as sol
+    import bjweyl.subordinacy as sub
+
+    cap, steps = 2 ** 12, []
+    walk = sol._steps
+
+    def counted(p, z, c_prev, c_cur, first_n, n_max):
+        steps.append(n_max - first_n)
+        return walk(p, z, c_prev, c_cur, first_n, n_max)
+
+    monkeypatch.setattr(sub, "HORIZON_CAP", cap)
+    monkeypatch.setattr(sol, "_steps", counted)
+    monkeypatch.setattr(sub, "_steps", counted)
+    p = make_family("diagonal", 1, components=[{"a": 1e308, "b": 0.0}])
+    ladder = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+    grid = jl_function(p, np.linspace(-2.0, 2.0, 9), ladder)
+    assert sum(steps) <= cap
+    for row in grid:
+        assert [str(s) for s in row] == [
+            f"seminorm product below {1 / (2 * eps):.6g} up to t = {cap}" for eps in ladder]
+        assert all(isinstance(s, HorizonExhausted) for s in row)

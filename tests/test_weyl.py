@@ -308,3 +308,10 @@ def test_weyl_solution_pads_for_small_im_z():
     w = weyl_schur(p, z, 4 * default_n_rule(z.imag)).W
     u = weyl_solution(p, z, w, 40)
     assert np.abs(u.seq.term(0) - w).max() < 1e-12
+
+
+def test_weyl_solution_names_im_z_when_the_pad_passes_the_cap():
+    p = make_family("free", 1)
+    with pytest.raises(ValueError, match=rf"^Im z = 1e-05 needs a section above the cap of "
+                                         rf"{HORIZON_CAP} blocks$"):
+        weyl_solution(p, 0.3 + 1e-5j, np.eye(1), 40)
