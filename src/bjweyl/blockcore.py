@@ -236,13 +236,12 @@ def apply_formal(p: JacobiParams, u: BlockVecSeq, n_max: int) -> BlockVecSeq:
         raise ValueError("apply_formal expects a sequence starting at 0")
     if u.d != p.d:
         raise ValueError("dimension mismatch between params and sequence")
-    out = np.zeros((n_max + 1, p.d), dtype=complex)
-    for n in range(n_max + 1):
-        acc = p.B(n) @ u.term(n) + p.A(n) @ u.term(n + 1)
-        if n >= 1:
-            acc = acc + p.A(n - 1).conj().T @ u.term(n - 1)
-        out[n] = acc
-    return BlockVecSeq(out, start=0)
+    a, b = p.stack(n_max + 1)
+    t = np.zeros((n_max + 2, p.d, 1), dtype=complex)
+    t[:len(u.terms), :, 0] = u.terms[:n_max + 2]  # u_0..u_{n_max+1}, as d x 1 blocks
+    out = b @ t[:-1] + a @ t[1:]
+    out[1:] += a[:-1].conj().transpose(0, 2, 1) @ t[:-2]
+    return BlockVecSeq(out[..., 0], start=0)
 
 
 def cyclic_block_product(p: JacobiParams, k: int) -> np.ndarray:
@@ -250,8 +249,8 @@ def cyclic_block_product(p: JacobiParams, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError("k must be >= 0")
     prod = np.eye(p.d, dtype=complex)
-    for n in range(k):
-        prod = prod @ p.A(n)
+    for a in p.stack(k)[0]:
+        prod = prod @ a
     return prod.conj().T
 
 

@@ -26,8 +26,8 @@ from .seminorms import SeminormKind
 from .solutions import compute_PQ
 from .subordinacy import DEFAULT_COND_CAP, ROW_ERRORS, _value, jl_function, nonsub_diagnostic
 from .transfer import lo_residual, omega_identity_residual, transfer_nstep, transfer_step
-from .weyl import (DEFAULT_N_RULE_C, _check_ladder, boundary_scan, default_n_rule,
-                   weyl_resolvent, weyl_schur)
+from .weyl import (DEFAULT_N_RULE_C, _check_ladder, _check_section, boundary_scan,
+                   default_n_rule, weyl_resolvent, weyl_schur)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -189,7 +189,10 @@ def parse_config(config: str | dict) -> RunConfig:
     if cfg.command == "nonsub" and cfg.t_grid[0] >= HORIZON_CAP:
         raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r} is above the cap of "
                           f"{HORIZON_CAP} blocks (G_t needs floor(t) + 1)")
-    cfg.params()  # semantic gate: family blocks must satisfy the invariants
+    d = cfg.params().d  # semantic gate: family blocks must satisfy the invariants
+    if cfg.command == "measure" or (cfg.command == "cauchy-check" and cfg.measure_in is None):
+        with _located("N"):  # N is the largest section either command builds
+            _check_section(cfg.N, d)
     return cfg
 
 

@@ -103,14 +103,10 @@ def quadrature_measure(p: JacobiParams, N: int) -> DiscreteMatrixMeasure:
     Atoms sit at section eigenvalues; the weight is the outer product of the
     first d-block of the unit eigenvector.  Total mass is the identity.
     """
-    d = p.d
-    h = finite_section(p, N).H
-    evals, evecs = np.linalg.eigh(h)
-    pairs = []
-    for k in range(len(evals)):
-        top = evecs[:d, k]
-        pairs.append((float(evals[k]), np.outer(top, top.conj())))
-    return DiscreteMatrixMeasure.from_pairs(pairs, d)
+    evals, evecs = np.linalg.eigh(finite_section(p, N).H)
+    top = evecs[:p.d].T  # row k: the first d-block of eigenvector k
+    weights = top[:, :, None] * top.conj()[:, None, :]
+    return DiscreteMatrixMeasure.from_pairs(zip(map(float, evals), weights), p.d)
 
 
 def trace_views(m: DiscreteMatrixMeasure) -> TraceDensityView:

@@ -49,7 +49,7 @@ class PolyPair:
     """First/second kind matrix orthogonal polynomial values P_n(z), Q_n(z)."""
 
     z: complex
-    P: BlockMatSeq  # start -1; a term array for an array z (``compute_PQ``)
+    P: BlockMatSeq  # start -1
     Q: BlockMatSeq
     n_max: int
 
@@ -129,20 +129,12 @@ def extend_to_minus_one(p: JacobiParams, z: complex, u):
 
 def compute_PQ(p: JacobiParams, z, n_max: int) -> PolyPair:
     """P and Q up to index n_max, from the (-1, 0) initial data (0, I) / (I, 0),
-    in one walk; an overflow of P is named before one of Q.
-
-    An array z is one walk for all its values: P and Q are then unchecked
-    (n_max + 2, *z.shape, d, d) term arrays from index -1, each entry
-    bit-identical to the call at that z alone, so that one z's overflow
-    leaves the others for the caller to judge.
-    """
+    in one walk; an overflow of P is named before one of Q."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     eye = np.broadcast_to(np.eye(p.d, dtype=complex), np.shape(z) + (p.d, p.d))
     zero = np.zeros_like(eye)
     terms = _steps(p, z, np.stack([zero, eye]), np.stack([eye, zero]), 0, n_max)  # (n, P/Q, ...)
-    if np.ndim(z):
-        return PolyPair(z, terms[:, 0], terms[:, 1], n_max)
     return PolyPair(z, *(BlockMatSeq(_checked(terms[:, i], 0), start=-1) for i in (0, 1)), n_max)
 
 
@@ -159,7 +151,10 @@ def solve_nonhomogeneous(p: JacobiParams, z: complex, F: BlockMatSeq, n_max: int
     Returns S with S_{-1} = S_0 = 0 and
     A_n S_{n+1} + B_n S_n + A_{n-1}* S_{n-1} = z S_n + F_n for n >= 0, via
 
-        S_n = sum_{k<n} (Q_n(z) P_k(conj z)* - P_n(z) Q_k(conj z)*) F_k.
+        S_n = sum_{k<n} (Q_n(z) P_k(conj z)* - P_n(z) Q_k(conj z)*) F_k
+            = Q_n(z) C_n - P_n(z) D_n,
+
+    with C_n, D_n the prefix sums of P_k(conj z)* F_k and Q_k(conj z)* F_k.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -167,15 +162,12 @@ def solve_nonhomogeneous(p: JacobiParams, z: complex, F: BlockMatSeq, n_max: int
         raise ValueError("F must start at index 0")
     pq_z = compute_PQ(p, z, n_max)
     pq_zb = compute_PQ(p, np.conj(z), n_max)
-    d = p.d
-    out = np.zeros((n_max + 2, d, d), dtype=complex)  # indices -1..n_max
-    for n in range(1, n_max + 1):
-        qn, pn = pq_z.Q.term(n), pq_z.P.term(n)
-        acc = np.zeros((d, d), dtype=complex)
-        for k in range(n):
-            kern = qn @ pq_zb.P.term(k).conj().T - pn @ pq_zb.Q.term(k).conj().T
-            acc += kern @ F.term(k)
-        out[n + 1] = acc
+    f = np.zeros((n_max, p.d, p.d), dtype=complex)  # F_0..F_{n_max-1}, zero past F's end
+    f[:len(F.terms)] = F.terms[:n_max]
+    c, dq = (np.cumsum(x.terms[1:-1].conj().transpose(0, 2, 1) @ f, axis=0)
+             for x in (pq_zb.P, pq_zb.Q))  # C_1..C_{n_max}, D_1..D_{n_max}
+    out = np.zeros((n_max + 2, p.d, p.d), dtype=complex)  # indices -1..n_max
+    out[2:] = pq_z.Q.terms[2:] @ c - pq_z.P.terms[2:] @ dq
     return BlockMatSeq(out, start=-1)
 
 
@@ -185,15 +177,15 @@ def recurrence_residual(p: JacobiParams, z: complex, seq) -> float:
     The residual at n is scaled by max(1, neighboring term norms) because
     solutions can grow exponentially.
     """
-    first = 0 if seq.start == -1 else 1
-    worst, (a, b) = 0.0, p.stack(seq.last_index)
-    for n in range(first, seq.last_index):
-        lhs = (b[n] @ seq.term(n) + a[n] @ seq.term(n + 1)
-               + _a_prev_adj(a, n) @ seq.term(n - 1))
-        res = np.linalg.norm(lhs - z * seq.term(n))
-        scale = max(1.0, *(np.linalg.norm(seq.term(m)) for m in (n - 1, n, n + 1) if m >= seq.start))
-        worst = max(worst, res / scale)
-    return worst
+    a, b = p.stack(seq.last_index)
+    n = slice(0 if seq.start == -1 else 1, seq.last_index)
+    adj = np.concatenate([-np.eye(p.d, dtype=complex)[None], a.conj().transpose(0, 2, 1)])
+    t = seq.terms.reshape(len(seq.terms), p.d, -1)  # a vector term as a d x 1 block
+    lhs = b[n] @ t[1:-1] + a[n] @ t[2:] + adj[n] @ t[:-2]  # adj[n] = A_{n-1}*, A_{-1} = -I
+    res = np.linalg.norm(lhs - z * t[1:-1], axis=(1, 2))
+    norm = np.linalg.norm(t, axis=(1, 2))
+    scale = np.maximum.reduce([np.ones_like(res), norm[:-2], norm[1:-1], norm[2:]])
+    return float(np.max(res / scale, initial=0.0))
 
 
 def columns_as_gev_check(p: JacobiParams, u: MgevSolution, v=None) -> dict:

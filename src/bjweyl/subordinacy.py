@@ -17,7 +17,7 @@ import numpy as np
 
 from .blockcore import HORIZON_CAP, NUMERICAL_ERRORS, JacobiParams, _finite
 from .seminorms import SeminormKind, _check_kind, squared_terms
-from .solutions import _steps, compute_PQ
+from .solutions import _steps
 from .transfer import _chain
 
 __all__ = [
@@ -73,15 +73,15 @@ def _pq_sq_nodes(p: JacobiParams, lam, horizon: int, kind: SeminormKind,
     lams = np.reshape(lam, -1)
     live, last = np.arange(len(lams)), np.zeros((2, len(lams)))  # the nodes reached so far
     nodes = [[] for _ in lams]  # per lam: (2, m) chunks of nodes
-    end = min(HORIZON_START, horizon)
-    pq = compute_PQ(p, lams, end)
-    walk, skip = (pq.P, pq.Q), 1  # (P, Q) terms of the last walk, (step, lam, d, d)
+    eye = np.eye(p.d, dtype=complex) * np.ones((len(lams), 1, 1))
+    walk = np.array([[0 * eye, eye], [eye, 0 * eye]])  # (P, Q) at n = -1, 0: a one-node walk
+    first, end = -1, 0  # the last end - first terms of walk, at first + 1..end, are new
     while True:
-        chunk = [x[skip:] for x in walk]  # the terms not summed yet
-        ok = np.logical_and(*(np.isfinite(x).all(axis=(2, 3)) for x in chunk))  # (step, lam)
+        chunk = walk[first - end:]  # the terms not summed yet, (step, P/Q, lam, d, d)
+        ok = np.isfinite(chunk).all(axis=(1, 3, 4))  # (step, lam)
         n_ok = np.where(ok.all(axis=0), len(ok), ok.argmin(axis=0))
-        usable = (np.arange(len(ok))[:, None] < n_ok)[..., None, None]  # before the first bad term
-        sq = np.stack([squared_terms(np.where(usable, x, 0.0), kind) for x in chunk], axis=1)
+        usable = (np.arange(len(ok))[:, None] < n_ok)[:, None, :, None, None]  # before a bad term
+        sq = squared_terms(np.where(usable, chunk, 0.0), kind)  # (step, P/Q, lam)
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite node is past any target
             cum = np.cumsum(np.concatenate([last[None], sq]), axis=0)[1:]  # as one cumsum from 0
             keep = ~(np.sqrt(cum[-1, 0]) * np.sqrt(cum[-1, 1]) >= target) & (n_ok == len(ok))
@@ -90,10 +90,8 @@ def _pq_sq_nodes(p: JacobiParams, lam, horizon: int, kind: SeminormKind,
         if end >= horizon or not keep.any():
             break
         live, last = live[keep], cum[-1][:, keep]
-        ends = [np.stack([x[k][keep] for x in walk]) for k in (-2, -1)]  # (P, Q) at end - 1, end
-        first, end = end, min(2 * end, end + WALK_SLAB, horizon)
-        terms = _steps(p, lams[live], *ends, first, end)
-        walk, skip = (terms[:, 0], terms[:, 1]), 2
+        first, end = end, min(max(2 * end, HORIZON_START), end + WALK_SLAB, horizon)
+        walk = _steps(p, lams[live], walk[-2][:, keep], walk[-1][:, keep], first, end)
     pairs = []
     for chunks in nodes:  # each lam's chunks go as its pair is joined
         pairs.append(tuple(np.concatenate(chunks, axis=1)))
@@ -318,14 +316,14 @@ def nonsub_diagnostic(p: JacobiParams, lam, t_grid, cap: float = DEFAULT_COND_CA
 
     An array lam is one transfer chain (``solution_gram``) for all its values
     and gives a list: each lam's dict, or the exception that lam alone raises.
-    If the chain itself raises, each lam is redone alone.
+    If the chain itself raises (for a block, not a lam), every lam gets its exception.
     """
     if np.ndim(lam) == 0:
         return _verdict(solution_gram(p, lam, t_grid), cap)
     try:
         trajs = solution_gram(p, lam, t_grid)
-    except NUMERICAL_ERRORS:
-        return [_outcome(nonsub_diagnostic, p, x, t_grid, cap) for x in np.reshape(lam, -1)]
+    except NUMERICAL_ERRORS as exc:
+        trajs = [exc] * np.size(lam)
     return [t if isinstance(t, Exception) else _verdict(t, cap) for t in trajs]
 
 

@@ -61,10 +61,18 @@ class BoundaryScan:
     # "error" (the first failed rung's message, or "") when undecided for want of rungs
 
 
-def finite_section(p: JacobiParams, N: int) -> FiniteSection:
-    """Dense Hermitian truncation with diagonal blocks B_0..B_{N-1}."""
+def _check_section(N: int, d: int) -> None:
+    """ValueError unless N >= 1 and the N-block section has at most 2**12 rows:
+    its storage grows as (N d)^2 and its eigensolve as (N d)^3."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N * d > 2 ** 12:
+        raise ValueError(f"a section of {N * d} rows is above the cap of {2 ** 12} rows")
+
+
+def finite_section(p: JacobiParams, N: int) -> FiniteSection:
+    """Dense Hermitian truncation with diagonal blocks B_0..B_{N-1}."""
+    _check_section(N, p.d)
     d, (a, b), n = p.d, p.stack(N), np.arange(N)
     h = np.zeros((N, d, N, d), dtype=complex)  # h[m, :, n, :] is block (m, n)
     h[n, :, n, :] = b

@@ -122,6 +122,20 @@ def test_measure_cauchy_roundtrip(tmp_path):
     assert float(rows[0]["gap"]) < 1e-9
 
 
+def test_cauchy_check_of_a_given_measure_builds_no_section(tmp_path):
+    # with measure_in only the banded resolvent runs, so N may pass the section cap
+    mcfg = write_config(tmp_path, "m.json", family={"name": "free", "d": 1},
+                        command="measure", N=40)
+    mcsv = tmp_path / "atoms.csv"
+    assert main(["--config", mcfg, "--out", str(mcsv)]) == 0
+    ccfg = write_config(tmp_path, "c.json", family={"name": "free", "d": 1},
+                        command="cauchy-check", N=5000, z=[0.0, 2.0], measure_in=str(mcsv))
+    ccsv = tmp_path / "gap.csv"
+    assert main(["--config", ccfg, "--out", str(ccsv)]) == 0
+    rows = read_rows(ccsv)
+    assert rows[0]["N"] == "5000" and rows[0]["error"] == ""
+
+
 def test_json_format(tmp_path):
     config = write_config(tmp_path, family={"name": "free", "d": 1},
                           command="weyl", N=50, format="json")
@@ -226,6 +240,10 @@ FREE = {"name": "free", "d": 1}
     ({"command": "nonsub", "t_grid": {"max": 2 ** 20, "steps": 4}}, [],
      "t_grid: max = 1048576.0 is above the cap"),
     ({"command": "weyl-scan", "n_rule_C": math.nan}, [], "tolerances and caps must be positive"),
+    ({"command": "measure", "N": 50_000}, [],
+     "N: a section of 50000 rows is above the cap of 4096 rows"),
+    ({"command": "cauchy-check", "family": {"name": "free", "d": 2}, "N": 2049}, [],
+     "N: a section of 4098 rows is above the cap of 4096 rows"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ def test_single_block_quadrature():
     lam, w = m.atoms[0]
     assert lam == 0.0
     np.testing.assert_allclose(w, [[1.0]])
+
+
+def test_a_section_above_the_cap_raises_before_any_block():
+    p = make_family("free", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="a section of 1000000 rows is above the cap"):
+            quadrature_measure(p, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p._n == 0  # no block was materialized
+    assert peak < 1 << 20
 
 
 def test_total_mass_identity(rng):
