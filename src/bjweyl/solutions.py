@@ -129,11 +129,12 @@ def extend_to_minus_one(p: JacobiParams, z: complex, u):
 
 def compute_PQ(p: JacobiParams, z, n_max: int) -> PolyPair:
     """P and Q up to index n_max, from the (-1, 0) initial data (0, I) / (I, 0),
-    in one walk; an overflow of P is named before one of Q."""
+    in one walk; an overflow of P is named before one of Q.  z is one number."""
+    if np.ndim(z) != 0:
+        raise ValueError(f"compute_PQ takes one z, got an array of shape {np.shape(z)}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    eye = np.broadcast_to(np.eye(p.d, dtype=complex), np.shape(z) + (p.d, p.d))
-    zero = np.zeros_like(eye)
+    eye, zero = np.eye(p.d, dtype=complex), np.zeros((p.d, p.d), dtype=complex)
     terms = _steps(p, z, np.stack([zero, eye]), np.stack([eye, zero]), 0, n_max)  # (n, P/Q, ...)
     return PolyPair(z, *(BlockMatSeq(_checked(terms[:, i], 0), start=-1) for i in (0, 1)), n_max)
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bjweyl.blockcore import make_family
 from bjweyl.measure import (
@@ -13,7 +14,7 @@ from bjweyl.measure import (
     quadrature_measure,
     trace_views,
 )
-from bjweyl.weyl import weyl_resolvent
+from bjweyl.weyl import finite_section, weyl_resolvent
 from conftest import random_bounded_params
 
 
@@ -179,3 +180,59 @@ def test_one_psd_check_names_the_first_failing_item():
         density_integral([(0.0, -1.0), (1.0, 1.0)], [np.eye(2), -np.eye(2)])
     with pytest.raises(ValueError, match=r"^density at 1.0 is not PSD$"):
         density_integral([(0.0, 1.0), (1.0, 1.0)], [small, -np.eye(2)])
+
+
+def _eigh_measure(p, N):
+    """The oracle: all N d eigenvectors of the section from a dense eigh."""
+    evals, evecs = np.linalg.eigh(finite_section(p, N).H)
+    top = evecs[:p.d].T
+    return DiscreteMatrixMeasure.from_pairs(
+        zip(map(float, evals), top[:, :, None] * top.conj()[:, None, :]), p.d)
+
+
+def _assert_agrees_with_eigh(m, p, N):
+    want = _eigh_measure(p, N)
+    assert len(m.atoms) == len(want.atoms)
+    for (x, w), (y, v) in zip(m.atoms, want.atoms):
+        assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+        assert np.max(np.abs(w - v)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_random_sections_match_eigh_with_unit_mass(d):
+    rng = np.random.default_rng(1300 + d)
+    for N in (1, 2, 17, 60):  # N = 1 with d = 1: a 1 x 1 section, no reflector at all
+        p = random_bounded_params(rng, d)
+        m = quadrature_measure(p, N)
+        _assert_agrees_with_eigh(m, p, N)
+        assert np.max(np.abs(m.total_mass() - np.eye(d))) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [
+    make_family("free", 2), make_family("free", 3),
+    make_family("diagonal", 2, components=[{"a": 1.0, "b": 0.3}] * 2),
+    make_family("diagonal", 3, components=[{"a": [1.0, 0.7, 1.4, 0.9] * 10,
+                                            "b": [0.2, -0.5, 0.0, 0.8] * 10}] * 3),
+], ids=["free_d2", "free_d3", "diagonal_equal_d2", "diagonal_equal_lists_d3"])
+def test_degenerate_spectra_merge_like_eigh(p):
+    """Equal components make every section eigenvalue d-fold, so T splits into d blocks."""
+    for N in (1, 5, 40):
+        m = quadrature_measure(p, N)
+        _assert_agrees_with_eigh(m, p, N)
+        assert len(m.atoms) == N
+
+
+def test_a_failed_mrrr_is_redone_by_bisection(monkeypatch):
+    real, drivers = scipy.linalg.eigh_tridiagonal, []
+
+    def mrrr_fails(diag, off, lapack_driver):
+        drivers.append(lapack_driver)
+        if lapack_driver == "stemr":
+            raise np.linalg.LinAlgError("stemr failed")
+        return real(diag, off, lapack_driver=lapack_driver)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", mrrr_fails)
+    for p in (random_bounded_params(np.random.default_rng(1310), 3), make_family("free", 2)):
+        drivers.clear()
+        _assert_agrees_with_eigh(quadrature_measure(p, 30), p, 30)
+        assert drivers == ["stemr", "stebz"]

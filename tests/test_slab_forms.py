@@ -93,8 +93,9 @@ def test_slab_forms_match_the_loops(d):
         N = int(rng.integers(1, 12))
         got, want = quadrature_measure(p, N), _quadrature_measure_loop(p, N)
         assert len(got.atoms) == len(want.atoms)
-        for (x, w), (y, v) in zip(got.atoms, want.atoms):
-            assert x == y and np.array_equal(w, v)
+        for (x, w), (y, v) in zip(got.atoms, want.atoms):  # tridiagonal route vs eigh
+            assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+            assert np.max(np.abs(w - v)) <= 1e-12
 
         z = complex(rng.uniform(-1.5, 1.5), 0.0 if case % 2 else rng.uniform(-0.5, 0.5))
         n = int(rng.integers(1, 40))
@@ -111,5 +112,7 @@ def test_slab_forms_match_the_loops(d):
 
 
 def test_compute_PQ_takes_one_z():
-    with pytest.raises(ValueError, match="terms must be"):
-        compute_PQ(make_family("free", 2), np.array([0.5, 1.0]), 4)
+    p = make_family("free", 2)
+    with pytest.raises(ValueError, match=r"compute_PQ takes one z, got an array of shape \(2,\)"):
+        compute_PQ(p, np.array([0.5, 1.0]), 4)
+    assert p._n == 0  # raised before the walk: no block was materialized
