@@ -189,6 +189,10 @@ def parse_config(config: str | dict) -> RunConfig:
     if cfg.command == "nonsub" and cfg.t_grid[0] >= HORIZON_CAP:
         raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r} is above the cap of "
                           f"{HORIZON_CAP} blocks (G_t needs floor(t) + 1)")
+    for command, key in (("transfer-check", "k_max"), ("polys", "n_max")):  # as many blocks
+        if cfg.command == command and getattr(cfg, key) > HORIZON_CAP:
+            raise ConfigError(f"{key}: {getattr(cfg, key)} is above the cap of "
+                              f"{HORIZON_CAP} blocks")
     d = cfg.params().d  # semantic gate: family blocks must satisfy the invariants
     if cfg.command == "measure" or (cfg.command == "cauchy-check" and cfg.measure_in is None):
         with _located("N"):  # N is the largest section either command builds

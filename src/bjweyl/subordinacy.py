@@ -58,21 +58,22 @@ class GramTrajectory:
     nodes: tuple  # (t, G_t, cond)
 
 
-def _pq_sq_nodes(p: JacobiParams, lam, horizon: int, kind: SeminormKind,
-                 target: float = math.inf):
-    """Cumulative squared term functionals (pn, qn) of P and Q over indices 0..horizon.
+def _pq_sq_nodes(p: JacobiParams, lams: np.ndarray, horizon: int, kind: SeminormKind,
+                 targets: list) -> list:
+    """Where the P/Q node product first reaches each target T, in one walk for all lams.
 
-    An array lam is one walk for all its values and gives a list, one pair per
-    lam.  The walk takes HORIZON_START steps, then doubles (by at most
-    WALK_SLAB steps at a time), each extension continuing from the last two
-    terms; only the squared functionals are kept.  A lam leaves it after the
-    extension whose last node product reaches target, or at its first term
-    that is not finite: its pair then ends just before that index, len(pn).
+    The walk takes HORIZON_START steps, then doubles (by at most WALK_SLAB steps
+    at a time), each extension continuing from the last two terms; only the
+    cumulative squared term functionals (pn, qn) of the extension at hand are
+    held.  Per lam, one entry per T: the crossing segment (m, pn[m-1], pn[m],
+    qn[m-1], qn[m]), m the first node with sqrt(pn[m]) * sqrt(qn[m]) >= T, or
+    what ended that lam's walk before it: a ValueError naming its first term
+    that is not finite, HorizonExhausted at horizon, or the exception of the
+    extension it could not take.  A lam leaves the walk once every T is reached.
     """
     _check_kind(kind, vectors=False)
-    lams = np.reshape(lam, -1)
-    live, last = np.arange(len(lams)), np.zeros((2, len(lams)))  # the nodes reached so far
-    nodes = [[] for _ in lams]  # per lam: (2, m) chunks of nodes
+    out = [[None] * len(targets) for _ in lams]  # per lam and T: a segment or an exception
+    live, last = np.arange(len(lams)), np.zeros((2, len(lams)))  # the last node reached
     eye = np.eye(p.d, dtype=complex) * np.ones((len(lams), 1, 1))
     walk = np.array([[0 * eye, eye], [eye, 0 * eye]])  # (P, Q) at n = -1, 0: a one-node walk
     first, end = -1, 0  # the last end - first terms of walk, at first + 1..end, are new
@@ -83,20 +84,32 @@ def _pq_sq_nodes(p: JacobiParams, lam, horizon: int, kind: SeminormKind,
         usable = (np.arange(len(ok))[:, None] < n_ok)[:, None, :, None, None]  # before a bad term
         sq = squared_terms(np.where(usable, chunk, 0.0), kind)  # (step, P/Q, lam)
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite node is past any target
-            cum = np.cumsum(np.concatenate([last[None], sq]), axis=0)[1:]  # as one cumsum from 0
-            keep = ~(np.sqrt(cum[-1, 0]) * np.sqrt(cum[-1, 1]) >= target) & (n_ok == len(ok))
-        for j, i in enumerate(live):  # a copy, so that no lam holds the others' chunks
-            nodes[i].append(cum[:n_ok[j], :, j].T.copy())
-        if end >= horizon or not keep.any():
-            break
+            cum = np.cumsum(np.concatenate([last[None], sq]), axis=0)  # nodes first..end
+            prod = np.sqrt(cum[:, 0]) * np.sqrt(cum[:, 1])
+        for j, i in enumerate(live):
+            for k, target in enumerate(targets):
+                if out[i][k] is not None:
+                    continue
+                r = int(np.searchsorted(prod[:n_ok[j] + 1, j], target))  # node first is below T
+                if r <= n_ok[j]:
+                    out[i][k] = (first + r, *map(float, cum[r - 1:r + 1, :, j].T.ravel()))
+                elif n_ok[j] < len(ok):
+                    out[i][k] = ValueError(
+                        f"recurrence overflows: term at n={first + 1 + n_ok[j]} is not finite")
+                elif end >= horizon:
+                    out[i][k] = HorizonExhausted(
+                        f"seminorm product below {target:.6g} up to t = {horizon}")
+        keep = np.array([None in out[i] for i in live], dtype=bool)
+        if not keep.any():
+            return out
         live, last = live[keep], cum[-1][:, keep]
         first, end = end, min(max(2 * end, HORIZON_START), end + WALK_SLAB, horizon)
-        walk = _steps(p, lams[live], walk[-2][:, keep], walk[-1][:, keep], first, end)
-    pairs = []
-    for chunks in nodes:  # each lam's chunks go as its pair is joined
-        pairs.append(tuple(np.concatenate(chunks, axis=1)))
-        chunks.clear()
-    return pairs[0] if np.ndim(lam) == 0 else pairs
+        try:
+            walk = _steps(p, lams[live], walk[-2][:, keep], walk[-1][:, keep], first, end)
+        except NUMERICAL_ERRORS as exc:
+            for i in live:
+                out[i] = [exc if s is None else s for s in out[i]]
+            return out
 
 
 def _outcome(f, *args):
@@ -114,17 +127,10 @@ def _value(outcome):
     return outcome
 
 
-def _jl_sample(lam, eps, pn: np.ndarray, qn: np.ndarray, horizon: int) -> JLSample:
-    """The closed-form ell for one eps from the nodes of one lam's walk."""
-    target = 1.0 / (2.0 * float(eps))
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite node is past any target
-        m = int(np.searchsorted(np.sqrt(pn) * np.sqrt(qn), target))  # m >= 1, as Q_0 = 0
-    if m == len(pn) > horizon:
-        raise HorizonExhausted(f"seminorm product below {target:.6g} up to t = {horizon}")
-    if m == len(pn):
-        raise ValueError(f"recurrence overflows: term at n={m} is not finite")
+def _jl_sample(lam, eps, target: float, segment) -> JLSample:
+    """The closed-form ell for one eps on its crossing segment from ``_pq_sq_nodes``."""
+    m, pa, pb, qa, qb = _value(segment)
     # (p0 + s dp)(q0 + s dq) = 1 on the nodes over T: a s^2 + b s - c = 0, c > 0
-    pa, pb, qa, qb = (float(x) for x in (pn[m - 1], pn[m], qn[m - 1], qn[m]))
     p0, q0, dp, dq = pa / target, qa / target, (pb - pa) / target, (qb - qa) / target
     if not math.isfinite(p0 + dp + q0 + dq):
         raise ArithmeticError(f"overflow: a squared seminorm at t={m} is not finite")
@@ -139,34 +145,27 @@ def jl_function(p: JacobiParams, lam, eps,
     """The unique length ell with ||P||_[0,ell] * ||Q||_[0,ell] = 1/(2 eps).
 
     One P/Q walk (``_pq_sq_nodes``) serves every lam and eps: it goes on until
-    each lam's node product reaches the target T of the smallest eps, up to
-    HORIZON_CAP, where HorizonExhausted is raised instead of a guess; a term
-    that overflows before T is reached raises a ValueError naming it.  On the
-    segment [m-1, m] ending at the first node that reaches T both squared
-    seminorms are affine, so ell is the root of a quadratic in closed form and
-    depends only on the nodes up to m.  The residual is a rounding-level check.
+    each lam's node product reaches every target T, up to HORIZON_CAP, where
+    HorizonExhausted is raised instead of a guess; a term that overflows before
+    T is reached raises a ValueError naming it.  On the segment [m-1, m] ending
+    at the first node that reaches T both squared seminorms are affine, so ell
+    is the root of a quadratic in closed form and depends only on the nodes up
+    to m.  The residual is a rounding-level check.
 
     An array lam or eps gives a nested list, one row per lam with one entry
-    per eps: the JLSample, or the exception that pair alone raises.  If the
-    walk itself raises (a rule that rejects a block, say), each pair is
-    redone alone, so every entry keeps its own message.
+    per eps: the JLSample, or the exception that pair alone raises.  A pair is
+    resolved in the extension where its product first reaches T, so a walk
+    that later raises (a rule that rejects a block, say) fails only the pairs
+    still open, each with the exception the pair walked alone would meet.
     """
     lams, epss = np.reshape(lam, -1), np.reshape(eps, -1)
-    if np.any(epss <= 0):
-        raise ValueError("eps must be positive")
-    horizon = HORIZON_CAP
-
-    def grid():
-        walks = _pq_sq_nodes(p, lams, horizon, variant, 1.0 / (2.0 * float(np.min(epss))))
-        return [[_outcome(_jl_sample, x, e, pn, qn, horizon) for e in epss]
-                for x, (pn, qn) in zip(lams, walks)]
-
-    if np.ndim(lam) == 0 and np.ndim(eps) == 0:
-        return _value(grid()[0][0])
-    try:
-        return grid()
-    except NUMERICAL_ERRORS:
-        return [[_outcome(jl_function, p, x, e, variant) for e in epss] for x in lams]
+    if not np.all((epss > 0) & (epss < math.inf)):  # NaN fails too
+        raise ValueError("eps must be positive and finite")
+    targets = [1.0 / (2.0 * float(e)) for e in epss]
+    segments = _pq_sq_nodes(p, lams, HORIZON_CAP, variant, targets)
+    grid = [[_outcome(_jl_sample, x, e, t, s) for e, t, s in zip(epss, targets, row)]
+            for x, row in zip(lams, segments)]
+    return _value(grid[0][0]) if np.ndim(lam) == 0 and np.ndim(eps) == 0 else grid
 
 
 def _sel_chain(p: JacobiParams, z, n: int) -> list[np.ndarray]:
@@ -318,13 +317,12 @@ def nonsub_diagnostic(p: JacobiParams, lam, t_grid, cap: float = DEFAULT_COND_CA
     and gives a list: each lam's dict, or the exception that lam alone raises.
     If the chain itself raises (for a block, not a lam), every lam gets its exception.
     """
-    if np.ndim(lam) == 0:
-        return _verdict(solution_gram(p, lam, t_grid), cap)
     try:
-        trajs = solution_gram(p, lam, t_grid)
+        trajs = solution_gram(p, np.reshape(lam, -1), t_grid)
     except NUMERICAL_ERRORS as exc:
         trajs = [exc] * np.size(lam)
-    return [t if isinstance(t, Exception) else _verdict(t, cap) for t in trajs]
+    out = [t if isinstance(t, Exception) else _verdict(t, cap) for t in trajs]
+    return _value(out[0]) if np.ndim(lam) == 0 else out
 
 
 def spectral_consequence_report(p: JacobiParams, lam: float, diagnostic: dict) -> dict:

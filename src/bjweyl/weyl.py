@@ -213,11 +213,11 @@ def default_n_rule(eps: float, C: float = DEFAULT_N_RULE_C) -> int:
 
 def _check_ladder(eps_ladder) -> np.ndarray:
     """The eps ladder as a float array; ValueError unless it is non-empty,
-    positive and strictly decreasing."""
+    finite, positive and strictly decreasing."""
     ladder = np.asarray(eps_ladder, dtype=float)
-    if (ladder.ndim != 1 or not len(ladder) or not np.all(ladder > 0)
+    if (ladder.ndim != 1 or not len(ladder) or not np.all((ladder > 0) & (ladder < np.inf))
             or not np.all(np.diff(ladder) < 0)):
-        raise ValueError("eps ladder must be non-empty, positive and strictly decreasing")
+        raise ValueError("eps ladder must be non-empty, finite, positive and strictly decreasing")
     return ladder
 
 

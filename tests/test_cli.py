@@ -244,6 +244,8 @@ FREE = {"name": "free", "d": 1}
      "N: a section of 50000 rows is above the cap of 4096 rows"),
     ({"command": "cauchy-check", "family": {"name": "free", "d": 2}, "N": 2049}, [],
      "N: a section of 4098 rows is above the cap of 4096 rows"),
+    ({"command": "polys", "n_max": 2 ** 20 + 1}, [], "n_max: 1048577 is above the cap"),
+    ({"command": "transfer-check", "k_max": 2 ** 20 + 1}, [], "k_max: 1048577 is above the cap"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
@@ -365,6 +367,9 @@ def test_overflow_reaches_stderr_only_as_a_located_message(tmp_path, capsys, com
     assert capsys.readouterr().err == err
 
 
+_BAD_LADDER = "eps_ladder: eps ladder must be non-empty, finite, positive and strictly decreasing"
+
+
 @pytest.mark.parametrize("config, flags, err", [
     ({"command": "weyl-scan", "lambda": {"min": math.nan, "max": 1.0, "steps": 3}}, [],
      "lambda.min must be finite, got nan"),
@@ -375,6 +380,10 @@ def test_overflow_reaches_stderr_only_as_a_located_message(tmp_path, capsys, com
     ({"command": "weyl", "z": [0.0, math.nan]}, [], "z must be finite, got nanj"),
     ({"command": "nonsub", "t_grid": {"max": math.nan, "steps": 4}}, [],
      "t_grid.max must be finite, got nan"),
+    ({"command": "jl", "eps_ladder": [math.inf, 0.1]}, [], _BAD_LADDER),
+    ({"command": "weyl-scan", "eps_ladder": [math.inf, 0.1]}, [], _BAD_LADDER),
+    ({"command": "jl", "eps_ladder": [0.2, math.nan]}, [], _BAD_LADDER),
+    ({"command": "jl"}, ["--eps-ladder", "inf,0.1"], _BAD_LADDER),
 ])
 def test_a_non_finite_point_is_a_located_config_error(tmp_path, capsys, config, flags, err):
     path = write_config(tmp_path, **{"family": FREE, **config})

@@ -162,7 +162,8 @@ def _jl_oracle(p, lam, eps, kind):
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 50
-    pn, qn = (list(map(mp.mpf, x)) for x in _pq_sq_nodes(p, lam, 64, kind))
+    pq = compute_PQ(p, lam, 64)
+    pn, qn = (list(map(mp.mpf, seminorm_nodes(x, kind, 0, 64))) for x in (pq.P, pq.Q))
     t2 = (1 / (2 * mp.mpf(eps))) ** 2
     m = next(i for i in range(len(pn)) if pn[i] * qn[i] >= t2)
     dp, dq = pn[m] - pn[m - 1], qn[m] - qn[m - 1]
@@ -280,11 +281,14 @@ def test_jl_on_a_lambda_grid_equals_the_calls_one_pair_at_a_time(rng, d):
         assert all(isinstance(s, JLSample) for row in grid for s in row)
         assert _same_outcome(grid, alone)
         assert max(s.ell for row in grid for s in row) > 64
-        # the nodes are those of compute_PQ and seminorm_nodes at each lam alone
-        for lam, (pn, qn) in zip(lams, _pq_sq_nodes(p, lams, 2 ** 20, kind, 1 / (2 * ladder[-1]))):
-            pq = compute_PQ(p, float(lam), len(pn))
-            assert np.array_equal(pn, seminorm_nodes(pq.P, kind, 0, len(pn) - 1))
-            assert np.array_equal(qn, seminorm_nodes(pq.Q, kind, 0, len(qn) - 1))
+        # each crossing segment holds the nodes of compute_PQ and seminorm_nodes at lam alone
+        targets = [1 / (2 * eps) for eps in ladder]
+        for lam, row in zip(lams, _pq_sq_nodes(p, lams, 2 ** 20, kind, targets)):
+            pq = compute_PQ(p, float(lam), max(m for m, *_ in row))
+            pn, qn = (seminorm_nodes(x, kind, 0, pq.n_max) for x in (pq.P, pq.Q))
+            for target, (m, *segment) in zip(targets, row):
+                assert m == np.searchsorted(np.sqrt(pn) * np.sqrt(qn), target)
+                assert segment == [pn[m - 1], pn[m], qn[m - 1], qn[m]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -325,8 +329,10 @@ def test_a_far_lambda_needs_only_the_nodes_before_its_overflow():
     assert 0.0 < s.ell < 1.0 and s.residual <= 2 * ULP
 
 
-def test_a_rule_that_raises_gives_each_pair_its_own_outcome(rng):
+def test_a_rule_that_raises_gives_each_pair_its_own_outcome(rng, monkeypatch):
     # the walk past 96 blocks raises; pairs whose target is reached before keep their values
+    import bjweyl.subordinacy as sub
+
     base = _random_periodic_family(rng, 2)
 
     def rule(n):
@@ -336,7 +342,10 @@ def test_a_rule_that_raises_gives_each_pair_its_own_outcome(rng):
 
     p = JacobiParams(2, rule)
     lams, ladder = np.linspace(-3.0, 3.0, 7), [0.5, 0.05, 1e-3]
+    walks, walk = [], sub._pq_sq_nodes
+    monkeypatch.setattr(sub, "_pq_sq_nodes", lambda *args: walks.append(args) or walk(*args))
     grid = jl_function(p, lams, ladder)
+    assert len(walks) == 1  # no pair is redone alone
     alone = [[_alone(jl_function, p, lam, eps) for eps in ladder] for lam in lams]
     assert _same_outcome(grid, alone)
     errors = [str(s) for row in grid for s in row if isinstance(s, Exception)]
@@ -370,3 +379,36 @@ def test_jl_makes_one_walk_to_the_cap(monkeypatch):
         assert [str(s) for s in row] == [
             f"seminorm product below {1 / (2 * eps):.6g} up to t = {cap}" for eps in ladder]
         assert all(isinstance(s, HorizonExhausted) for s in row)
+
+
+def test_jl_memory_does_not_grow_with_the_horizon(monkeypatch):
+    # a = 1e308: no target is ever reached, so every lam walks to the cap; the
+    # blocks are stored before tracing, so the peak is the walk's own
+    import tracemalloc
+
+    import bjweyl.subordinacy as sub
+
+    p = make_family("diagonal", 1, components=[{"a": 1e308, "b": 0.0}])
+    p.stack(2 ** 12)
+    lams, peaks = np.linspace(-2.0, 2.0, 33), []
+    monkeypatch.setattr(sub, "WALK_SLAB", 2 ** 8)
+    for cap in (2 ** 10, 2 ** 12):  # past 2^9 every extension is WALK_SLAB long
+        monkeypatch.setattr(sub, "HORIZON_CAP", cap)
+        tracemalloc.start()
+        try:
+            grid = jl_function(p, lams, [0.1, 1e-3])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(s, HorizonExhausted) for row in grid for s in row)
+    # the nodes of 33 lams over 3 * 2^10 more steps alone would be 1.6 MB
+    assert peaks[1] < peaks[0] + 2 ** 18
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, -math.inf, math.nan])
+def test_jl_rejects_an_eps_that_is_not_positive_and_finite(eps):
+    p = make_family("free", 1)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        jl_function(p, 0.0, eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        jl_function(p, [0.0, 1.0], [0.1, eps])
