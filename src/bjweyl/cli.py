@@ -186,10 +186,14 @@ def parse_config(config: str | dict) -> RunConfig:
     if cfg.command in ("weyl-scan", "report"):
         with _located("eps_ladder"):
             default_n_rule(min(cfg.eps_ladder), cfg.n_rule_C)
+    if cfg.command == "nonsub" and not np.all(np.diff(cfg.ts(), prepend=0.0) > 0):
+        raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r}, steps = {cfg.t_grid[1]} do not give "
+                          "positive, strictly increasing nodes")
     if cfg.command == "nonsub" and cfg.t_grid[0] >= HORIZON_CAP:
         raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r} is above the cap of "
                           f"{HORIZON_CAP} blocks (G_t needs floor(t) + 1)")
-    for command, key in (("transfer-check", "k_max"), ("polys", "n_max")):  # as many blocks
+    for command, key in (("transfer-check", "k_max"), ("polys", "n_max"), ("weyl", "N"),
+                         ("validate", "N")):  # as many blocks
         if cfg.command == command and getattr(cfg, key) > HORIZON_CAP:
             raise ConfigError(f"{key}: {getattr(cfg, key)} is above the cap of "
                               f"{HORIZON_CAP} blocks")

@@ -62,14 +62,14 @@ def _pq_sq_nodes(p: JacobiParams, lams: np.ndarray, horizon: int, kind: Seminorm
                  targets: list) -> list:
     """Where the P/Q node product first reaches each target T, in one walk for all lams.
 
-    The walk takes HORIZON_START steps, then doubles (by at most WALK_SLAB steps
-    at a time), each extension continuing from the last two terms; only the
-    cumulative squared term functionals (pn, qn) of the extension at hand are
-    held.  Per lam, one entry per T: the crossing segment (m, pn[m-1], pn[m],
-    qn[m-1], qn[m]), m the first node with sqrt(pn[m]) * sqrt(qn[m]) >= T, or
-    what ended that lam's walk before it: a ValueError naming its first term
-    that is not finite, HorizonExhausted at horizon, or the exception of the
-    extension it could not take.  A lam leaves the walk once every T is reached.
+    The walk takes HORIZON_START steps, then doubles (by at most WALK_SLAB steps at a time),
+    each extension continuing from the last two terms: one extension and its cumulative squared
+    term functionals (pn, qn) are held at a time, and only those two terms while the next is
+    built.  Per lam, one entry per T: the crossing segment (m, pn[m-1], pn[m], qn[m-1], qn[m]),
+    m the first node with sqrt(pn[m]) * sqrt(qn[m]) >= T, or what ended that lam's walk before
+    it: a ValueError naming its first term that is not finite, HorizonExhausted at horizon, or
+    the exception of the extension it could not take.  A lam leaves the walk once every T is
+    reached.
     """
     _check_kind(kind, vectors=False)
     out = [[None] * len(targets) for _ in lams]  # per lam and T: a segment or an exception
@@ -81,8 +81,8 @@ def _pq_sq_nodes(p: JacobiParams, lams: np.ndarray, horizon: int, kind: Seminorm
         chunk = walk[first - end:]  # the terms not summed yet, (step, P/Q, lam, d, d)
         ok = np.isfinite(chunk).all(axis=(1, 3, 4))  # (step, lam)
         n_ok = np.where(ok.all(axis=0), len(ok), ok.argmin(axis=0))
-        usable = (np.arange(len(ok))[:, None] < n_ok)[:, None, :, None, None]  # before a bad term
-        sq = squared_terms(np.where(usable, chunk, 0.0), kind)  # (step, P/Q, lam)
+        np.copyto(chunk, 0.0, where=(np.arange(len(ok))[:, None] >= n_ok)[:, None, :, None, None])
+        sq = squared_terms(chunk, kind)  # (step, P/Q, lam): 0 from a bad term on; that lam leaves
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite node is past any target
             cum = np.cumsum(np.concatenate([last[None], sq]), axis=0)  # nodes first..end
             prod = np.sqrt(cum[:, 0]) * np.sqrt(cum[:, 1])
@@ -102,10 +102,11 @@ def _pq_sq_nodes(p: JacobiParams, lams: np.ndarray, horizon: int, kind: Seminorm
         keep = np.array([None in out[i] for i in live], dtype=bool)
         if not keep.any():
             return out
-        live, last = live[keep], cum[-1][:, keep]
+        live, last, ends = live[keep], cum[-1][:, keep], walk[-2:][:, :, keep]
+        del walk, chunk, sq, cum, prod  # the next extension is built holding only ends
         first, end = end, min(max(2 * end, HORIZON_START), end + WALK_SLAB, horizon)
         try:
-            walk = _steps(p, lams[live], walk[-2][:, keep], walk[-1][:, keep], first, end)
+            walk = _steps(p, lams[live], *ends, first, end)
         except NUMERICAL_ERRORS as exc:
             for i in live:
                 out[i] = [exc if s is None else s for s in out[i]]
@@ -168,40 +169,38 @@ def jl_function(p: JacobiParams, lam, eps,
     return _value(grid[0][0]) if np.ndim(lam) == 0 and np.ndim(eps) == 0 else grid
 
 
-def _sel_chain(p: JacobiParams, z, n: int) -> list[np.ndarray]:
-    """Lower d-block rows of R_0 = I, R_1, ..., R_n; z.shape + (d, 2d) stacks for an array z."""
+def _sel_chain(p: JacobiParams, z, n: int):
+    """Yield the lower d-block rows of R_0 = I, R_1, ..., R_n; z.shape + (d, 2d) for an array z."""
     d = p.d
     sel = np.hstack([np.zeros((d, d)), np.eye(d)]).astype(complex)
-    return ([np.broadcast_to(sel, np.shape(z) + sel.shape)]
-            + [r[..., d:, :].copy() for r in _chain(p, z, n)])
+    yield np.broadcast_to(sel, np.shape(z) + sel.shape)
+    yield from (r[..., d:, :] for r in _chain(p, z, n))
 
 
 def gram_nodes(p: JacobiParams, z, ts) -> dict:
     """G_t for each requested t >= 0; c* G_t c = ||u(c)||^2 over [0, t].
 
-    Integer nodes accumulate (Sel R_k)*(Sel R_k); fractional parts add the
-    next term with the interpolation weight.  A scalar z raises an
-    ArithmeticError at the first G_t that is not finite.  An array z is one
-    transfer chain for all its values: each G_t is a z.shape + (2d, 2d) stack,
-    each entry bit-identical to the call at that z alone, and unchecked, so
-    that one z's overflow leaves the others for the caller to check.
+    One pass along the transfer chain holds the running sum of (Sel R_k)*(Sel R_k) and the
+    last term: G_k is the sum to k; t in (k - 1, k) adds (t - k + 1) term_k to the sum to k - 1.
+    A scalar z raises an ArithmeticError at the first G_t that is not finite.  An array z is
+    one transfer chain for all its values: each G_t is a z.shape + (2d, 2d) stack, each entry
+    bit-identical to the call at that z alone, and unchecked, so that one z's overflow leaves
+    the others for the caller to check.
     """
     ts = [float(t) for t in ts]
     if any(t < 0 for t in ts):
         raise ValueError("t values must be >= 0")
     top = max(math.floor(t) + 1 for t in ts) if ts else 0
-    out = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # each G_t is checked
-        terms = np.array([np.swapaxes(c.conj(), -1, -2) @ c for c in _sel_chain(p, z, top)])
-        cum = np.cumsum(terms, axis=0)
-        for t in ts:
-            n = math.floor(t)
-            g = cum[n].copy()
-            frac = t - n
-            if frac > 0:
-                g = g + frac * terms[n + 1]
-            out[t] = g if np.ndim(z) else _finite(g, f"G_t at t={t:.17g}")
-    return out
+    out, at, s = dict.fromkeys(ts), {}, None  # at: the t read at node ceil(t)
+    for t in out:
+        at.setdefault(math.ceil(t), []).append(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # each G_t is checked, below
+        for k, c in enumerate(_sel_chain(p, z, top)):
+            term = np.swapaxes(c.conj(), -1, -2) @ c
+            prev, s = s, term if s is None else s + term  # the additions of np.cumsum
+            for t in at.get(k, ()):
+                out[t] = s if t == k else prev + (t - (k - 1)) * term
+    return out if np.ndim(z) else {t: _finite(g, f"G_t at t={t:.17g}") for t, g in out.items()}
 
 
 def gev_l2_dimension(p: JacobiParams, z: complex, n_max: int = 32) -> dict:
@@ -219,7 +218,7 @@ def gev_l2_dimension(p: JacobiParams, z: complex, n_max: int = 32) -> dict:
     """
     t1 = max(2, n_max // 2)
     t2 = n_max
-    chain = _sel_chain(p, z, t2)
+    chain = list(_sel_chain(p, z, t2))  # each product is read twice
     g2 = sum(c.conj().T @ c for c in chain)
     _, evecs = np.linalg.eigh(g2)
     ratios = []

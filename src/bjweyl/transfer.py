@@ -10,6 +10,8 @@ terms of the product at the conjugate spectral parameter, which is what
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .blockcore import JacobiParams, _finite
@@ -68,7 +70,7 @@ def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
 def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
     """The n-step product R_n(z) = T_{n-1} ... T_0 and its structured inverse.
 
-    The inverse is the closed form in terms of R_n(conj z):
+    The inverse is the closed form in terms of R_n(conj z), from one chain at (z, conj z):
 
         R_n(z)^{-1} = [[0, I], [-I, 0]] R_n(conj z)* [[0, A_{n-1}], [-A_{n-1}*, 0]].
     """
@@ -77,7 +79,7 @@ def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
     a_last = p.A(n - 1)
     right = np.block([[np.zeros_like(a_last), a_last], [-a_last.conj().T, np.zeros_like(a_last)]])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        r, rb = (list(_chain(p, w, n))[-1] for w in (z, np.conj(z)))
+        r, rb = deque(_chain(p, np.array([z, np.conj(z)]), n), maxlen=1)[0]  # the last R_n
         r_inv = _omega(p.d) @ rb.conj().T @ right
     return {"R": _finite(r, f"R_n at n={n}"), "R_inv": _finite(r_inv, f"R_n^-1 at n={n}")}
 
@@ -86,7 +88,7 @@ def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     """Relative residual of the symplectic-type conjugation identity.
 
     R~_n = K_{n-1} R_n K_{-1}^{-1}, the product of the rescaled steps K_k T_k K_{k-1}^{-1}
-    (K_m = diag(A_m*, I), K_{-1}^{-1} = diag(-I, I)), is read off the one transfer chain.
+    (K_m = diag(A_m*, I), K_{-1}^{-1} = diag(-I, I)), is read off one chain at (z, conj z).
     Returns ||Omega - R~(conj z)* Omega R~(z)|| scaled by max(1, ||R~(conj z)|| ||R~(z)||);
     the factors grow exponentially in n, so the raw defect is meaningless.
     """
@@ -95,7 +97,7 @@ def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     d, omega = p.d, _omega(p.d)
     a_last_adj, k_first_inv = p.A(n - 1).conj().T, np.repeat([-1.0, 1.0], d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        r, rb = (list(_chain(p, w, n))[-1] for w in (z, np.conj(z)))
+        r, rb = deque(_chain(p, np.array([z, np.conj(z)]), n), maxlen=1)[0]  # the last R_n
         rt, rtb = (np.vstack([a_last_adj @ m[:d], m[d:]]) * k_first_inv for m in (r, rb))
         s = _finite(rtb.conj().T @ omega @ rt, f"R~(conj z)* Omega R~(z) at n={n}")
         # an overflow of the scale to inf gives the same scale, max(1, inf)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,12 @@ def random_bounded_params(rng, d: int, n_blocks: int = 96) -> JacobiParams:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

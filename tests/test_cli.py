@@ -246,6 +246,17 @@ FREE = {"name": "free", "d": 1}
      "N: a section of 4098 rows is above the cap of 4096 rows"),
     ({"command": "polys", "n_max": 2 ** 20 + 1}, [], "n_max: 1048577 is above the cap"),
     ({"command": "transfer-check", "k_max": 2 ** 20 + 1}, [], "k_max: 1048577 is above the cap"),
+    ({"command": "weyl", "N": 2 ** 20 + 1}, [], "N: 1048577 is above the cap"),
+    ({}, ["--N", str(2 ** 20 + 1)], "N: 1048577 is above the cap"),
+    ({"command": "validate", "N": 2 ** 20 + 1}, [], "N: 1048577 is above the cap"),
+    ({"command": "nonsub", "t_grid": {"max": -5, "steps": 2}}, [],
+     "t_grid: max = -5.0, steps = 2 do not give positive, strictly increasing nodes"),
+    ({"command": "nonsub", "t_grid": {"max": 0, "steps": 3}}, [],
+     "t_grid: max = 0.0, steps = 3 do not give"),
+    ({"command": "nonsub", "t_grid": {"max": 1e-323, "steps": 4}}, [],
+     "t_grid: max = 1e-323, steps = 4 do not give"),
+    ({"command": "nonsub", "t_grid": {"max": 0, "steps": 1}}, [],
+     "t_grid: max = 0.0, steps = 1 do not give"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})

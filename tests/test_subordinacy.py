@@ -17,7 +17,8 @@ from bjweyl.subordinacy import (
     solution_gram,
     spectral_consequence_report,
 )
-from conftest import random_bounded_params
+from bjweyl.transfer import transfer_step
+from conftest import random_bounded_params, traced_peak
 
 
 def test_jl_defining_residual():
@@ -412,3 +413,67 @@ def test_jl_rejects_an_eps_that_is_not_positive_and_finite(eps):
         jl_function(p, 0.0, eps)
     with pytest.raises(ValueError, match="eps must be positive"):
         jl_function(p, [0.0, 1.0], [0.1, eps])
+
+
+# --- what the walks hold --------------------------------------------------------
+
+def _gram_oracle(p, z, ts):
+    """G_t at one z from np.cumsum over every term (Sel R_k)*(Sel R_k), R_k multiplied
+    out of transfer_step."""
+    d, top = p.d, max(math.floor(t) + 1 for t in ts)
+    rows, r = [np.eye(2 * d, dtype=complex)[d:]], None
+    for k in range(top):
+        step = transfer_step(p, z, k)["T"]
+        r = step if r is None else step @ r
+        rows.append(r[d:])
+    terms = np.array([c.conj().T @ c for c in rows])
+    cum = np.cumsum(terms, axis=0)
+    return {t: cum[math.floor(t)] + (t - math.floor(t)) * terms[math.floor(t) + 1]
+            if t % 1 else cum[int(t)] for t in ts}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gram_nodes_are_the_cumulative_sums_bit_for_bit(rng, d):
+    p = random_bounded_params(rng, d)
+    ts = [3.0, 0.0, 2.5, 7.75, 3.0, 0.25, 1.0, 12.0, 6.999999999999999, 40]  # unsorted, a repeat
+    zs = np.array([0.7, -1.3 + 0.4j, 2.5 + 1e-3j, 0.2 - 0.9j])
+    grid = gram_nodes(p, zs, ts)
+    assert list(grid) == list(dict.fromkeys(ts))
+    for i, z in enumerate(zs):
+        oracle, alone = _gram_oracle(p, z, ts), gram_nodes(p, z, ts)
+        assert list(alone) == list(grid)
+        for t in ts:
+            assert alone[t].tobytes() == oracle[t].tobytes()
+            assert grid[t][i].tobytes() == oracle[t].tobytes()
+
+
+def test_gram_memory_does_not_grow_with_t():
+    # free d = 2 stays bounded on [-2, 2]; the blocks are stored before tracing,
+    # so the peak is the walk's own
+    p = make_family("free", 2)
+    p.stack(2 ** 13 + 1)
+    lams, peaks = np.linspace(-2.0, 2.0, 9), []
+    for t in (2 ** 10, 2 ** 13):
+        grams, peak = traced_peak(gram_nodes, p, lams, np.linspace(t / 4, t, 4))
+        assert all(np.isfinite(g).all() for g in grams.values())
+        peaks.append(peak)
+    # the terms of 9 lams over 7 * 2^10 more steps alone would be 16 MB
+    assert peaks[1] < peaks[0] + 2 ** 16
+
+
+def test_jl_holds_about_one_extension(monkeypatch):
+    # a = 1e308: no target is ever reached, so every lam walks to the cap in
+    # WALK_SLAB-long extensions from 2^10 on
+    import bjweyl.subordinacy as sub
+
+    p = make_family("diagonal", 2, components=[{"a": 1e308, "b": 0.0}] * 2)
+    p.stack(2 ** 12)
+    lams = np.linspace(-2.0, 2.0, 9)
+    monkeypatch.setattr(sub, "WALK_SLAB", 2 ** 10)
+    monkeypatch.setattr(sub, "HORIZON_CAP", 2 ** 12)
+    grid, peak = traced_peak(jl_function, p, lams, [0.1, 1e-3])
+    assert all(isinstance(s, HorizonExhausted) for row in grid for s in row)
+    # one extension: WALK_SLAB + 2 terms of (P, Q) at 9 lams, 2 x 2 complex blocks; its
+    # singular values and their squares add a quarter and an eighth of it
+    extension = (2 ** 10 + 2) * 2 * len(lams) * 4 * 16
+    assert peak < 1.5 * extension

@@ -13,7 +13,7 @@ from bjweyl.transfer import (
     transfer_nstep,
     transfer_step,
 )
-from conftest import random_bounded_params
+from conftest import random_bounded_params, traced_peak
 
 
 def test_step_propagates_solution_pairs(rng):
@@ -96,7 +96,15 @@ def test_nstep_is_the_product_of_the_steps(rng, n):
     r = transfer_step(p, z, 0)["T"]
     for k in range(1, n):
         r = transfer_step(p, z, k)["T"] @ r
-    assert np.array_equal(transfer_nstep(p, z, n)["R"], r)
+    rb = transfer_step(p, np.conj(z), 0)["T"]  # the product at conj z, for the inverse
+    for k in range(1, n):
+        rb = transfer_step(p, np.conj(z), k)["T"] @ rb
+    a = p.A(n - 1)
+    right = np.block([[np.zeros_like(a), a], [-a.conj().T, np.zeros_like(a)]])
+    omega = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2)).astype(complex)
+    nstep = transfer_nstep(p, z, n)
+    assert np.array_equal(nstep["R"], r)
+    assert np.array_equal(nstep["R_inv"], omega @ rb.conj().T @ right)
 
 
 @pytest.mark.parametrize("call, k, what", [
@@ -108,6 +116,15 @@ def test_an_overflow_names_the_quantity_and_its_index(call, k, what):
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match=re.escape(f"overflow: {what} is not finite")):
             call(make_family("free", 1), 30.0, k)
+
+
+@pytest.mark.parametrize("call", [transfer_nstep, omega_identity_residual])
+def test_the_n_step_chain_memory_does_not_grow_with_n(call):
+    p = make_family("free", 2)
+    p.stack(2 ** 13)  # the blocks are stored before tracing, so the peak is the chain's own
+    peaks = [traced_peak(call, p, 0.3 + 0.01j, n)[1] for n in (2 ** 10, 2 ** 13)]
+    # the products of both chains over 7 * 2^10 more steps alone would be 3.7 MB
+    assert peaks[1] < peaks[0] + 2 ** 16
 
 
 def _rescaled_product(p, z, n):
