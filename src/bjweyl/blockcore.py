@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "HORIZON_CAP",
+    "check_cap",
     "BlockVecSeq",
     "BlockMatSeq",
     "JacobiParams",
@@ -39,6 +40,12 @@ NUMERICAL_ERRORS = (ArithmeticError, ValueError, IndexError)
 
 class ParamsError(ValueError):
     """Raised when block data violates the invertibility/Hermitianity rules."""
+
+
+def check_cap(N: int) -> None:
+    """ValueError if a walk over N blocks would pass HORIZON_CAP."""
+    if N > HORIZON_CAP:
+        raise ValueError(f"{N} blocks requested, above the cap of {HORIZON_CAP} blocks")
 
 
 def _as_block(a, d: int, n: int | None = None) -> np.ndarray:
@@ -125,12 +132,14 @@ class JacobiParams:
     ``rule(n)`` must return a pair of d x d arrays (``make_family`` passes its
     one rule).  It is called once per index, by ``stack``, which keeps the
     pairs in one array store; ``A(n)``, ``B(n)`` and ``blocks(n)`` are views
-    into it.
+    into it.  ``period`` is an L with (A_{n+L}, B_{n+L}) = (A_n, B_n) for every
+    n, as ``make_family`` knows it, or None where no period is known.
     """
 
     d: int
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
     bounded: bool = False  # uniformly bounded blocks => J self-adjoint
+    period: int | None = None
     _store: np.ndarray = field(init=False, repr=False, compare=False)  # (2, capacity, d, d)
     _n: int = field(default=0, init=False, repr=False, compare=False)  # indices stored
     _bad: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -145,8 +154,7 @@ class JacobiParams:
         a bad block raises for the lowest failing n (``_bad`` records them all).
         The store grows geometrically; N above HORIZON_CAP raises before any call.
         """
-        if N > HORIZON_CAP:
-            raise ValueError(f"{N} blocks requested, above the cap of {HORIZON_CAP} blocks")
+        check_cap(N)
         first, d = self._n, self.d
         try:
             if N > first:
@@ -284,7 +292,9 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
                          by (n+1)**growth.
     explicit:            knobs ``A``/``B`` are explicit block lists, equally long.
     d < 1 and an empty period or block list raise ParamsError here; ``constant``
-    and ``explicit`` blocks are checked here too.
+    and ``explicit`` blocks are checked here too.  ``period`` is the lcm of the
+    two list lengths where the lists repeat unscaled (``free``, ``constant``,
+    scalar ``diagonal``, ``periodic_modulated`` with growth 0), else None.
     """
     if d < 1:
         raise ParamsError(f"d must be >= 1, got {d}")
@@ -327,7 +337,8 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
             raise IndexError(end)
         return a_list[n % len(a_list)] * np.float64(n + 1) ** growth, b_list[n % len(b_list)]
 
-    p = JacobiParams(d, rule, bounded=bounded)
+    period = int(np.lcm(len(a_list), len(b_list))) if end is None and growth == 0.0 else None
+    p = JacobiParams(d, rule, bounded=bounded, period=period)
     if name in ("constant", "explicit"):
         p.stack(len(a_list))  # a bad pair fails here, as the family is built
     return p

@@ -39,6 +39,7 @@ _TOP_KEYS = {  # "seed" is accepted for older configs and ignored
     "cap", "measure_in",
 }
 _LAMBDA_KEYS = ("min", "max", "steps")
+T_STEPS_CAP = 2 ** 12  # nonsub keeps G_t, cond and a row per t node and lambda: 88 MB at the cap
 
 
 class ConfigError(ValueError):
@@ -186,6 +187,9 @@ def parse_config(config: str | dict) -> RunConfig:
     if cfg.command in ("weyl-scan", "report"):
         with _located("eps_ladder"):
             default_n_rule(min(cfg.eps_ladder), cfg.n_rule_C)
+    if cfg.command == "nonsub" and cfg.t_grid[1] > T_STEPS_CAP:
+        raise ConfigError(f"t_grid: steps = {cfg.t_grid[1]} is above the cap of {T_STEPS_CAP} "
+                          "nodes")
     if cfg.command == "nonsub" and not np.all(np.diff(cfg.ts(), prepend=0.0) > 0):
         raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r}, steps = {cfg.t_grid[1]} do not give "
                           "positive, strictly increasing nodes")

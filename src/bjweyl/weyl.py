@@ -6,6 +6,15 @@ N-block finite section: ``weyl_resolvent`` through a banded LU solve of
 (H - zI) X = E, ``weyl_schur`` through the backward block Schur-complement
 recursion.  They agree to rounding at equal N, which the test suite enforces
 as an exact algebraic identity.
+
+``weyl_schur`` itself takes one of two routes per z.  The sweep runs the
+recursion over all N blocks.  On a family with a period L (``p.period``), the
+recursion over M = 4 L blocks is one linear-fractional map, and doubling
+raises it to the power q = N // M in about 2 log2 q compositions (the
+structure-preserving doubling algorithm).  Doubling is taken only where
+N |Im z| >= 20 max ||A_n|| and N >= 6 M, where it stays within 1e-12 relative
+of the sweep (README, Numerical notes); everywhere else, and for every family
+without a period, the sweep is the route.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import HORIZON_CAP, NUMERICAL_ERRORS, BlockMatSeq, JacobiParams
+from .blockcore import (HORIZON_CAP, NUMERICAL_ERRORS, BlockMatSeq, JacobiParams,
+                        check_cap)
 from .solutions import MgevSolution
 from .subordinacy import gev_l2_dimension
 
@@ -35,6 +45,9 @@ __all__ = [
 
 DEFAULT_N_RULE_C = 50.0  # N(eps) = ceil(C/eps) blocks
 RANK_REL = 1e-3  # _classify's rank: singular values of Im W above this share of the largest
+DOUBLING_PERIODS = 4  # the doubled route's base map: the section of M = 4 periods
+DOUBLING_MIN = 6  # ... taken from N = 6 M blocks on; below, the sweep is about as fast
+DOUBLING_GATE = 20.0  # doubled only where N |Im z| >= DOUBLING_GATE * max ||A_n||
 
 
 @dataclass(frozen=True)
@@ -116,30 +129,133 @@ def weyl_resolvent(p: JacobiParams, z: complex, N: int) -> WeylSample:
 
 
 def weyl_schur(p: JacobiParams, z, N: int) -> WeylSample:
-    """W = G_0 from the backward Schur-complement recursion.
+    """W = G_0, the top-left block of the resolvent of the N-block section.
 
-    G_{N-1} = (B_{N-1} - zI)^{-1}, G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1};
-    equal to the resolvent route at the same N up to rounding.  An array z is
-    one sweep for all its values: W is a z.shape + (d, d) stack, each entry
-    bit-identical to the call at that z alone.  A singular pivot at any z
-    raises, and so does a non-finite W at any z (ArithmeticError: the sweep
-    overflowed, or z was not finite), with no numpy warning.
+    Two routes, the same value to rounding (see README, Numerical notes):
+
+    - the backward Schur sweep, G_{N-1} = (B_{N-1} - zI)^{-1},
+      G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1}, over all N blocks;
+    - doubling (``_doubled``), taken per z where the family has a period L,
+      N >= DOUBLING_MIN * M blocks (M = DOUBLING_PERIODS * L) and
+      N |Im z| >= DOUBLING_GATE * max ||A_n||: O(M + log N) steps, and only
+      M blocks are stored.
+
+    Everywhere else, and for every family without a period, the sweep is the
+    route.  An array z gives W as a z.shape + (d, d) stack, each entry
+    bit-identical to the call at that z alone; each route makes one pass for
+    all the z it takes.  N above HORIZON_CAP raises before any block is read.
+    A singular pivot or doubling solve at any z raises, and so does a
+    non-finite W at any z (ArithmeticError: the sweep overflowed, or z was not
+    finite), with no numpy warning.
     """
-    zi, (a, b) = np.multiply.outer(z, np.eye(p.d, dtype=complex)), p.stack(N)
-    k = N - 1
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
-            g = np.linalg.inv(b[k] - zi)
-            for k in range(N - 2, -1, -1):
-                g = np.linalg.inv(b[k] - zi - a[k] @ g @ a[k].conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular Schur pivot at block {k}: z too close to the section spectrum"
-        ) from exc
+    check_cap(N)
+    zi, fast = np.multiply.outer(z, np.eye(p.d, dtype=complex)), _doubles(p, z, N)
+    if not fast.any():
+        g = _sweep(*p.stack(N), zi)
+    else:
+        g = np.empty_like(zi)
+        g[fast] = _doubled(p, zi[fast], N)
+        if not fast.all():
+            g[~fast] = _sweep(*p.stack(N), zi[~fast])
     if not np.all(np.isfinite(g)):
         raise ArithmeticError("W is not finite: the Schur sweep overflowed")
     return WeylSample(z, g, "schur", N,
                       {"herglotz_min_eig": _herglotz_min_eig(z, g)})
+
+
+def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, ends: bool = False):
+    """G_0 of the section with diagonal blocks b and couplings a (len(b) - 1 of
+    them are read) by the backward Schur sweep, for the stack zi of zI.
+
+    With ``ends``, also the corner blocks R_{0,n-1} and R_{n-1,0} of the
+    section's resolvent R, as running products of the pivots G_k:
+    R^(k)_{k,n-1} = -G_k A_k R^(k+1)_{k+1,n-1}, and alike on the other side.
+    """
+    k = len(b) - 1
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by the caller
+            g = np.linalg.inv(b[k] - zi)
+            top = bottom = g
+            for k in range(len(b) - 2, -1, -1):
+                g = np.linalg.inv(b[k] - zi - a[k] @ g @ a[k].conj().T)
+                if ends:
+                    top, bottom = -g @ a[k] @ top, -bottom @ a[k].conj().T @ g
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular Schur pivot at block {k}: z too close to the section spectrum"
+        ) from exc
+    return (g, top, bottom) if ends else g
+
+
+def _doubles(p: JacobiParams, z, N: int) -> np.ndarray:
+    """Per z, whether ``weyl_schur`` doubles: the family has a period L, N is at
+    least DOUBLING_MIN * M blocks, z is finite and N |Im z| >= DOUBLING_GATE * s with
+    s = max ||A_n||, so the section is many decay lengths long and the doubled
+    W stays within rounding of the sweep's (README, Numerical notes)."""
+    L = p.period
+    if L is None or N < DOUBLING_MIN * DOUBLING_PERIODS * L:
+        return np.zeros(np.shape(z), dtype=bool)
+    s = np.linalg.norm(p.stack(L)[0], 2, axis=(1, 2)).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(z) & (N * np.abs(np.imag(z)) >= DOUBLING_GATE * s)
+
+
+def _doubled(p: JacobiParams, zi: np.ndarray, N: int) -> np.ndarray:
+    """W of the N-block section of a family of period L, for the stack zi of zI.
+
+    M backward steps, M = DOUBLING_PERIODS * L, are one map
+    Phi(G) = alpha + beta G (I - gamma G)^{-1} delta from G_M to G_0, with
+    (alpha, beta, gamma, delta) = (R_00, R_{0,M-1} A, A* R_{M-1,M-1} A, A* R_{M-1,0})
+    for R the resolvent of the M-block section and A = A_{M-1}.  The corners come
+    from short sweeps: R_00 and the off-diagonal corners from one, R_{M-1,M-1}
+    from the sweep of the reversed section.  With N = q M + r, W = Phi^q(G_r),
+    G_r the sweep over the first r blocks (0 if r = 0); binary powering takes
+    about 2 log2 q compositions.
+    """
+    M = DOUBLING_PERIODS * p.period
+    q, r = divmod(N, M)
+    a, b = p.stack(M)
+    g, top, bottom = _sweep(a, b, zi, ends=True)
+    last = _sweep(a[-2::-1].conj().transpose(0, 2, 1), b[::-1], zi)
+    ah = a[-1].conj().T
+    phi, size = (g, top @ a[-1], ah @ last @ a[-1], ah @ bottom), M
+    w, done = (_sweep(a[:r], b[:r], zi) if r else np.zeros_like(zi),), r
+    while True:
+        if q & 1:
+            done += size
+            w = _compose(phi, w, done)
+        q >>= 1
+        if not q:
+            return w[0]
+        size *= 2
+        phi = _compose(phi, phi, size)
+
+
+def _compose(f: tuple, g: tuple, n: int) -> tuple:
+    """f o g for maps G -> alpha + beta G (I - gamma G)^{-1} delta given as
+    (alpha, beta, gamma, delta) stacks; a g of (alpha,) alone is the constant
+    map alpha, and so is f o g then.  n is the number of blocks of the section
+    f o g stands for, named if a solve is singular.
+
+    With K = I - gamma_f alpha_g: alpha = alpha_f + beta_f alpha_g K^{-1} delta_f,
+    beta = beta_f (I - alpha_g gamma_f)^{-1} beta_g,
+    gamma = gamma_g + delta_g K^{-1} gamma_f beta_g, delta = delta_g K^{-1} delta_f.
+    """
+    a1, b1, c1, d1 = f
+    a2, d = g[0], g[0].shape[-1]
+    eye = np.eye(d)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by weyl_schur
+            if len(g) == 1:
+                return (a1 + b1 @ a2 @ np.linalg.solve(eye - c1 @ a2, d1),)
+            _, b2, c2, d2 = g
+            x = np.linalg.solve(eye - c1 @ a2, np.concatenate([d1, c1 @ b2], axis=-1))
+            return (a1 + b1 @ a2 @ x[..., :d], b1 @ np.linalg.solve(eye - a2 @ c1, b2),
+                    c2 + d2 @ x[..., d:], d2 @ x[..., :d])
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular doubling solve at {n} blocks: z too close to the section spectrum"
+        ) from exc
 
 
 def _resolvent_columns(p: JacobiParams, z: complex, N: int) -> np.ndarray:

@@ -270,3 +270,44 @@ def test_every_family_stacks_the_blocks_of_its_per_index_rule(name, d, knobs, K)
             oracle(K)
         with pytest.raises(IndexError, match=f"^{expected.value}$"):
             make_family(name, d, **knobs).stack(K + 1)
+
+
+_PERIODS = {"free_d1": 1, "free_d3": 1, "constant": 1, "diagonal_scalar": 1,
+            "periodic_growth_0": 6, "diagonal_lists": None, "diagonal_mixed": None,
+            "diagonal_empty": None, "periodic_growth_half": None, "explicit": None}
+_MORE_PERIODIC = {  # list lengths (A, B) and growth of further periodic_modulated families
+    "lengths_1_1": (1, 1, 0.0), "lengths_2_3": (2, 3, 0.0), "lengths_4_2": (4, 2, 0.0),
+    "lengths_5_5": (5, 5, 0.0), "lengths_3_1": (3, 1, 0.0),
+    "lengths_2_2_growth_-0.5": (2, 2, -0.5), "lengths_1_1_growth_1e-9": (1, 1, 1e-9)}
+
+
+def _repeats(p, L, periods=3):
+    a, b = p.stack(periods * L)
+    return all(np.array_equal(x.reshape(periods, L, *x.shape[1:]), np.broadcast_to(
+        x[:L], (periods, *x[:L].shape))) for x in (a, b))
+
+
+@pytest.mark.parametrize("key", _FAMILIES)
+def test_period_is_set_for_exactly_the_families_whose_blocks_repeat(key):
+    name, d, knobs, K = _FAMILIES[key]
+    p = make_family(name, d, **knobs)
+    assert p.period == _PERIODS[key]
+    if p.period is not None:
+        assert K is None and _repeats(p, p.period)
+
+
+@pytest.mark.parametrize("key", _MORE_PERIODIC)
+def test_a_periodic_modulated_period_is_the_lcm_of_its_list_lengths(rng, key):
+    na, nb, growth = _MORE_PERIODIC[key]
+    p = make_family("periodic_modulated", 2, growth=growth,
+                    A_period=[np.eye(2) + 0.3 * rng.standard_normal((2, 2)) for _ in range(na)],
+                    B_period=[np.diag(rng.standard_normal(2)) for _ in range(nb)])
+    if growth:
+        assert p.period is None and not _repeats(p, np.lcm(na, nb))
+    else:
+        assert p.period == np.lcm(na, nb) and _repeats(p, p.period)
+
+
+def test_a_user_rule_has_no_period(rng):
+    assert JacobiParams(1, lambda n: (np.eye(1), np.zeros((1, 1)))).period is None
+    assert random_bounded_params(rng, 2).period is None

@@ -257,6 +257,10 @@ FREE = {"name": "free", "d": 1}
      "t_grid: max = 1e-323, steps = 4 do not give"),
     ({"command": "nonsub", "t_grid": {"max": 0, "steps": 1}}, [],
      "t_grid: max = 0.0, steps = 1 do not give"),
+    ({"command": "nonsub", "t_grid": {"max": 10.0, "steps": 2 ** 12 + 1}}, [],
+     "t_grid: steps = 4097 is above the cap of 4096 nodes"),
+    ({"command": "nonsub", "t_grid": {"max": 1e-323, "steps": 2 ** 40}}, [],
+     "t_grid: steps = 1099511627776 is above the cap of 4096 nodes"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
