@@ -133,13 +133,14 @@ class JacobiParams:
     one rule).  It is called once per index, by ``stack``, which keeps the
     pairs in one array store; ``A(n)``, ``B(n)`` and ``blocks(n)`` are views
     into it.  ``period`` is an L with (A_{n+L}, B_{n+L}) = (A_n, B_n) for every
-    n, as ``make_family`` knows it, or None where no period is known.
+    n.  Only ``make_family`` sets it, from its own lists; it is None where no
+    period is known, and always for a rule given here.
     """
 
     d: int
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
     bounded: bool = False  # uniformly bounded blocks => J self-adjoint
-    period: int | None = None
+    period: int | None = field(default=None, init=False, compare=False)
     _store: np.ndarray = field(init=False, repr=False, compare=False)  # (2, capacity, d, d)
     _n: int = field(default=0, init=False, repr=False, compare=False)  # indices stored
     _bad: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -337,8 +338,9 @@ def make_family(name: str, d: int, **knobs) -> JacobiParams:
             raise IndexError(end)
         return a_list[n % len(a_list)] * np.float64(n + 1) ** growth, b_list[n % len(b_list)]
 
-    period = int(np.lcm(len(a_list), len(b_list))) if end is None and growth == 0.0 else None
-    p = JacobiParams(d, rule, bounded=bounded, period=period)
+    p = JacobiParams(d, rule, bounded=bounded)
+    if end is None and growth == 0.0:
+        p.period = int(np.lcm(len(a_list), len(b_list)))
     if name in ("constant", "explicit"):
         p.stack(len(a_list))  # a bad pair fails here, as the family is built
     return p

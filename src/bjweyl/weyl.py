@@ -12,7 +12,7 @@ recursion over all N blocks.  On a family with a period L (``p.period``), the
 recursion over M = 4 L blocks is one linear-fractional map, and doubling
 raises it to the power q = N // M in about 2 log2 q compositions (the
 structure-preserving doubling algorithm).  Doubling is taken only where
-N |Im z| >= 20 max ||A_n|| and N >= 6 M, where it stays within 1e-12 relative
+N |Im z| >= 20 max ||A_n|| and N >= M, where it stays within 1e-12 relative
 of the sweep (README, Numerical notes); everywhere else, and for every family
 without a period, the sweep is the route.
 """
@@ -46,7 +46,6 @@ __all__ = [
 DEFAULT_N_RULE_C = 50.0  # N(eps) = ceil(C/eps) blocks
 RANK_REL = 1e-3  # _classify's rank: singular values of Im W above this share of the largest
 DOUBLING_PERIODS = 4  # the doubled route's base map: the section of M = 4 periods
-DOUBLING_MIN = 6  # ... taken from N = 6 M blocks on; below, the sweep is about as fast
 DOUBLING_GATE = 20.0  # doubled only where N |Im z| >= DOUBLING_GATE * max ||A_n||
 
 
@@ -136,7 +135,7 @@ def weyl_schur(p: JacobiParams, z, N: int) -> WeylSample:
     - the backward Schur sweep, G_{N-1} = (B_{N-1} - zI)^{-1},
       G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1}, over all N blocks;
     - doubling (``_doubled``), taken per z where the family has a period L,
-      N >= DOUBLING_MIN * M blocks (M = DOUBLING_PERIODS * L) and
+      N >= M blocks (M = DOUBLING_PERIODS * L) and
       N |Im z| >= DOUBLING_GATE * max ||A_n||: O(M + log N) steps, and only
       M blocks are stored.
 
@@ -189,11 +188,12 @@ def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, ends: bool = False):
 
 def _doubles(p: JacobiParams, z, N: int) -> np.ndarray:
     """Per z, whether ``weyl_schur`` doubles: the family has a period L, N is at
-    least DOUBLING_MIN * M blocks, z is finite and N |Im z| >= DOUBLING_GATE * s with
-    s = max ||A_n||, so the section is many decay lengths long and the doubled
-    W stays within rounding of the sweep's (README, Numerical notes)."""
+    least M = DOUBLING_PERIODS * L blocks (so the map is applied at least once),
+    z is finite and N |Im z| >= DOUBLING_GATE * s with s = max ||A_n||, so the
+    section is many decay lengths long and the doubled W stays within rounding
+    of the sweep's (README, Numerical notes)."""
     L = p.period
-    if L is None or N < DOUBLING_MIN * DOUBLING_PERIODS * L:
+    if L is None or N < DOUBLING_PERIODS * L:
         return np.zeros(np.shape(z), dtype=bool)
     s = np.linalg.norm(p.stack(L)[0], 2, axis=(1, 2)).max()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,9 +298,11 @@ def energy_identity_gap(p: JacobiParams, z: complex, N: int, v) -> dict:
     """Check <Im W v, v>/Im z against the squared l2 norm of U(z) v.
 
     Both sides are evaluated on the same N-block section, where the identity
-    is exact: Im W / Im z = X* X for X the first d resolvent columns.  Also
-    evaluates the trace bound sum_n ||U_n||^2 <= tr(Im W)/Im z (operator
-    norms over the same window).
+    is exact: Im W / Im z = X* X for X the first d resolvent columns.  W comes
+    from ``weyl_schur``; where that doubles (a periodic family), W is within
+    the doubled route's bound of the section's, so the gap checks that route
+    too.  Also evaluates the trace bound sum_n ||U_n||^2 <= tr(Im W)/Im z
+    (operator norms over the same window).
     """
     if z.imag == 0:
         raise ValueError("energy identity needs Im z != 0")

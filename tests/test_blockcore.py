@@ -308,6 +308,8 @@ def test_a_periodic_modulated_period_is_the_lcm_of_its_list_lengths(rng, key):
         assert p.period == np.lcm(na, nb) and _repeats(p, p.period)
 
 
-def test_a_user_rule_has_no_period(rng):
+def test_a_user_rule_has_no_period_and_cannot_declare_one(rng):
     assert JacobiParams(1, lambda n: (np.eye(1), np.zeros((1, 1)))).period is None
     assert random_bounded_params(rng, 2).period is None
+    with pytest.raises(TypeError, match="period"):
+        JacobiParams(1, lambda n: (np.eye(1), np.zeros((1, 1))), period=3)

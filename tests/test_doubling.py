@@ -63,10 +63,10 @@ def test_a_family_without_a_period_is_swept(p):
     assert np.array_equal(weyl_schur(p, z, 800).W, _swept(p, z, 800))
 
 
-@pytest.mark.parametrize("z, N", [(1 + 1e-9j, 100), (1 + 1e-9j, 10 ** 4), (0.5 + 1j, 23),
+@pytest.mark.parametrize("z, N", [(1 + 1e-9j, 100), (1 + 1e-9j, 10 ** 4), (0.5 + 10j, 3),
                                   (0.5 + 0.3j, 33), (complex(0.5, math.nan), 400), (0.5, 400)])
 def test_short_sections_and_near_axis_points_are_swept(z, N):
-    # N |Im z| below DOUBLING_GATE * max ||A_n||, N below 6 M = 24 blocks, or z not finite
+    # N |Im z| below DOUBLING_GATE * max ||A_n||, N below M = 4 blocks, or z not finite
     # (where both routes fail alike: the sweep's message is kept)
     p = make_family("free", 1)
     assert not weyl._doubles(p, z, N)
@@ -145,10 +145,11 @@ def test_random_periodic_families_match_the_sweep_and_the_resolvent(rng, L, d):
     s = max(np.linalg.norm(a, 2) for a in p.stack(L)[0])
     spread = 2 * s + max(np.linalg.norm(b, 2) for b in p.stack(L)[1])
     lam = np.linspace(-1.1 * spread, 1.1 * spread, 15)
-    for ratio, N in ((20, 2000), (50, 601), (400, 120)):  # N |Im z| / max ||A_n||
+    # N |Im z| / max ||A_n|| and N, down to one application of the M-block map
+    for ratio, N in ((20, 2000), (50, 601), (400, 120), (20, 4 * L), (20, 4 * L + 3)):
         z = lam + 1j * ratio * s / N
         w = weyl_schur(p, z, N).W
-        assert weyl._doubles(p, z, N).all() == (N >= 24 * L)
+        assert weyl._doubles(p, z, N).all()
         assert _rel(w, _swept(p, z, N)) <= BOUND
         assert _rel(w, np.array([weyl_resolvent(p, x, N).W for x in z])) <= BOUND
 
