@@ -48,6 +48,14 @@ def check_cap(N: int) -> None:
         raise ValueError(f"{N} blocks requested, above the cap of {HORIZON_CAP} blocks")
 
 
+def scaled_eye(z, d: int) -> np.ndarray:
+    """zI as a z.shape + (d, d) stack: z written on the diagonal of zeros, so a
+    z with an infinite part meets no inf * 0 (and no numpy warning)."""
+    zi = np.zeros(np.shape(z) + (d, d), dtype=complex)
+    zi[..., range(d), range(d)] = np.asarray(z)[..., None]
+    return zi
+
+
 def _as_block(a, d: int, n: int | None = None) -> np.ndarray:
     a, at = np.asarray(a, dtype=complex), "" if n is None else f" at n={n}"
     if a.shape != (d, d):

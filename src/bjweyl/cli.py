@@ -176,12 +176,13 @@ def parse_config(config: str | dict) -> RunConfig:
                          ("lambda.steps", cfg.lambda_grid[2]), ("t_grid.steps", cfg.t_grid[1])):
         if count < 1:
             raise ConfigError(f"{where} must be >= 1")
-    for where, x in (("z", cfg.z), ("lambda.min", cfg.lambda_grid[0]),
-                     ("lambda.max", cfg.lambda_grid[1]), ("t_grid.max", cfg.t_grid[0])):
-        if not np.isfinite(x):
-            raise ConfigError(f"{where} must be finite, got {x!r}")
     if not (cfg.cap > 0 and cfg.n_rule_C > 0):  # NaN fails too
         raise ConfigError("tolerances and caps must be positive")
+    for where, x in (("z", cfg.z), ("lambda.min", cfg.lambda_grid[0]),
+                     ("lambda.max", cfg.lambda_grid[1]), ("t_grid.max", cfg.t_grid[0]),
+                     ("n_rule_C", cfg.n_rule_C), ("cap", cfg.cap)):
+        if not np.isfinite(x):
+            raise ConfigError(f"{where} must be finite, got {x!r}")
     # cost bounds on the walks, located here; the block store enforces the same
     # integer cap, and G_t's floor(t) + 1 blocks exceed it iff t >= cap
     if cfg.command in ("weyl-scan", "report"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcore import BlockMatSeq, BlockVecSeq, JacobiParams
+from .blockcore import BlockMatSeq, BlockVecSeq, JacobiParams, scaled_eye
 
 __all__ = [
     "GevSolution",
@@ -71,7 +71,7 @@ def _steps(p: JacobiParams, z, c_prev: np.ndarray, c_cur: np.ndarray,
     matrix terms of shape (..., *z.shape, d, d), each bit-identical to the walk
     at that z alone.
     """
-    (a, b), zi = p.stack(n_max), np.multiply.outer(z, np.eye(p.d, dtype=complex))
+    (a, b), zi = p.stack(n_max), scaled_eye(z, p.d)
     out = np.empty((n_max - first_n + 2, *np.broadcast_shapes(c_prev.shape, c_cur.shape)),
                    dtype=complex)
     out[0], out[1] = c_prev, c_cur

@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from .blockcore import JacobiParams, _finite
+from .blockcore import JacobiParams, _finite, scaled_eye
 from .solutions import _a_prev_adj, compute_PQ
 
 __all__ = [
@@ -29,7 +29,7 @@ def _step(p: JacobiParams, z, n: int) -> np.ndarray:
     """T_n(z) = [[0, I], [-A_n^{-1} A_{n-1}*, A_n^{-1}(zI - B_n)]]; a z.shape + (2d, 2d)
     stack for an array z, each entry bit-identical to the step at that z alone."""
     (a, b), d = p.stack(n + 1), p.d
-    zi = np.multiply.outer(z, np.eye(d, dtype=complex))
+    zi = scaled_eye(z, d)
     t = np.zeros(zi.shape[:-2] + (2 * d, 2 * d), dtype=complex)
     t[..., :d, d:] = np.eye(d)
     t[..., d:, :d] = -np.linalg.solve(a[n], _a_prev_adj(a, n))

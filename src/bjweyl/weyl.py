@@ -7,14 +7,16 @@ N-block finite section: ``weyl_resolvent`` through a banded LU solve of
 recursion.  They agree to rounding at equal N, which the test suite enforces
 as an exact algebraic identity.
 
-``weyl_schur`` itself takes one of two routes per z.  The sweep runs the
+``weyl_schur`` itself takes one of two routes per (z, N).  The sweep runs the
 recursion over all N blocks.  On a family with a period L (``p.period``), the
 recursion over M = 4 L blocks is one linear-fractional map, and doubling
 raises it to the power q = N // M in about 2 log2 q compositions (the
 structure-preserving doubling algorithm).  Doubling is taken only where
 N |Im z| >= 20 max ||A_n|| and N >= M, where it stays within 1e-12 relative
 of the sweep (README, Numerical notes); everywhere else, and for every family
-without a period, the sweep is the route.
+without a period, the sweep is the route.  N may differ from z to z: one call
+makes one sweep and one doubling for all of them, so ``boundary_scan`` gets
+its whole (lambda, eps) grid from one call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockcore import (HORIZON_CAP, NUMERICAL_ERRORS, BlockMatSeq, JacobiParams,
-                        check_cap)
+                        check_cap, scaled_eye)
 from .solutions import MgevSolution
 from .subordinacy import gev_l2_dimension
 
@@ -127,7 +129,7 @@ def weyl_resolvent(p: JacobiParams, z: complex, N: int) -> WeylSample:
                       {"herglotz_min_eig": _herglotz_min_eig(z, w)})
 
 
-def weyl_schur(p: JacobiParams, z, N: int) -> WeylSample:
+def weyl_schur(p: JacobiParams, z, N) -> WeylSample:
     """W = G_0, the top-left block of the resolvent of the N-block section.
 
     Two routes, the same value to rounding (see README, Numerical notes):
@@ -140,102 +142,147 @@ def weyl_schur(p: JacobiParams, z, N: int) -> WeylSample:
       M blocks are stored.
 
     Everywhere else, and for every family without a period, the sweep is the
-    route.  An array z gives W as a z.shape + (d, d) stack, each entry
-    bit-identical to the call at that z alone; each route makes one pass for
-    all the z it takes.  N above HORIZON_CAP raises before any block is read.
+    route.  z may be an array, and N an int or an integer array broadcast
+    against it: W is then a stack of the broadcast shape + (d, d), each entry
+    bit-identical to the call at its own (z, N) alone.  The call makes one
+    sweep, over the largest N, for every z (a doubled z is swept over its
+    N mod M remainder), and one doubling for the doubled z.  N above
+    HORIZON_CAP anywhere raises before any block is read, and so does N < 1.
     A singular pivot or doubling solve at any z raises, and so does a
     non-finite W at any z (ArithmeticError: the sweep overflowed, or z was not
     finite), with no numpy warning.
     """
-    check_cap(N)
-    zi, fast = np.multiply.outer(z, np.eye(p.d, dtype=complex)), _doubles(p, z, N)
-    if not fast.any():
-        g = _sweep(*p.stack(N), zi)
-    else:
-        g = np.empty_like(zi)
-        g[fast] = _doubled(p, zi[fast], N)
-        if not fast.all():
-            g[~fast] = _sweep(*p.stack(N), zi[~fast])
-    if not np.all(np.isfinite(g)):
+    w = _schur(p, z, N)
+    z = z if np.shape(z) == w.shape[:-2] else np.broadcast_to(z, w.shape[:-2])
+    return WeylSample(z, w, "schur", N, {"herglotz_min_eig": _herglotz_min_eig(z, w)})
+
+
+def _schur(p: JacobiParams, z, N) -> np.ndarray:
+    """The W stack of ``weyl_schur`` alone.  ``boundary_scan`` calls this: it
+    reads W only, and perfbench's tracer records a ``weyl_schur`` call's N as
+    one number, which a scan's N per rung is not."""
+    zb, nb = np.broadcast_arrays(z, N)
+    check_cap(int(nb.max(initial=1)))
+    if nb.min(initial=1) < 1:
+        raise ValueError("N must be >= 1")
+    zi, fast = scaled_eye(zb, p.d), _doubles(p, zb, nb)
+    zf, n, fast = zi.reshape(-1, p.d, p.d), nb.ravel(), fast.ravel()
+    length = n.copy()  # of each z's sweep: a doubled z is swept over N mod M
+    if fast.any():
+        length[fast] %= DOUBLING_PERIODS * p.period
+    order = np.argsort(-length, kind="stable")
+    g = np.empty_like(zf)
+    g[order] = _sweep(*p.stack(int(length.max(initial=0))), zf[order], length[order])
+    if fast.any():
+        g[fast] = _doubled(p, zf[fast], n[fast], g[fast])
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(zb))):  # at z = inf, W = 0 is a limit
         raise ArithmeticError("W is not finite: the Schur sweep overflowed")
-    return WeylSample(z, g, "schur", N,
-                      {"herglotz_min_eig": _herglotz_min_eig(z, g)})
+    return g.reshape(zi.shape)
 
 
-def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, ends: bool = False):
+def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, n=None, ends: bool = False):
     """G_0 of the section with diagonal blocks b and couplings a (len(b) - 1 of
     them are read) by the backward Schur sweep, for the stack zi of zI.
+
+    Every z is swept over all len(b) blocks, or, with n (one block count per z,
+    in decreasing order, for an (m, d, d) stack zi), over its own first n
+    blocks: one backward pass over the largest n in which each z joins at its
+    block n - 1, so the live z are a prefix of the stack, and a z with n = 0
+    gets G = 0.  Each G_0 is bit-identical to the sweep of that z alone.
 
     With ``ends``, also the corner blocks R_{0,n-1} and R_{n-1,0} of the
     section's resolvent R, as running products of the pivots G_k:
     R^(k)_{k,n-1} = -G_k A_k R^(k+1)_{k+1,n-1}, and alike on the other side.
     """
-    k = len(b) - 1
+    counts = [len(b)] * len(zi) if n is None else n.tolist()
+    joins = {c - 1: i + 1 for i, c in enumerate(counts) if c}  # block k -> live z after it
+    g, live = zi[:0], 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by the caller
-            g = np.linalg.inv(b[k] - zi)
-            top = bottom = g
-            for k in range(len(b) - 2, -1, -1):
-                g = np.linalg.inv(b[k] - zi - a[k] @ g @ a[k].conj().T)
-                if ends:
-                    top, bottom = -g @ a[k] @ top, -bottom @ a[k].conj().T @ g
+            for k in range(max(joins, default=-1), -1, -1):
+                if live:
+                    g = np.linalg.inv(b[k] - zl - a[k] @ g @ a[k].conj().T)
+                    if ends:
+                        top, bottom = -g @ a[k] @ top, -bottom @ a[k].conj().T @ g
+                if k in joins:  # the z whose section ends at block k join
+                    new = np.linalg.inv(b[k] - zi[live:joins[k]])
+                    g = np.concatenate([g, new]) if live else new
+                    top = bottom = g
+                    live = joins[k]
+                    zl = zi[:live]
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular Schur pivot at block {k}: z too close to the section spectrum"
         ) from exc
+    if live < len(zi):
+        g = np.concatenate([g, np.zeros_like(zi[live:])])
     return (g, top, bottom) if ends else g
 
 
-def _doubles(p: JacobiParams, z, N: int) -> np.ndarray:
-    """Per z, whether ``weyl_schur`` doubles: the family has a period L, N is at
-    least M = DOUBLING_PERIODS * L blocks (so the map is applied at least once),
-    z is finite and N |Im z| >= DOUBLING_GATE * s with s = max ||A_n||, so the
-    section is many decay lengths long and the doubled W stays within rounding
-    of the sweep's (README, Numerical notes)."""
-    L = p.period
-    if L is None or N < DOUBLING_PERIODS * L:
-        return np.zeros(np.shape(z), dtype=bool)
+def _doubles(p: JacobiParams, z, N) -> np.ndarray:
+    """Per (z, N), broadcast, whether ``weyl_schur`` doubles: the family has a
+    period L, N is at least M = DOUBLING_PERIODS * L blocks (so the map is
+    applied at least once), z is finite and N |Im z| >= DOUBLING_GATE * s with
+    s = max ||A_n||, so the section is many decay lengths long and the doubled
+    W stays within rounding of the sweep's (README, Numerical notes)."""
+    L, n = p.period, np.asarray(N)
+    if L is None or np.all(n < DOUBLING_PERIODS * L):
+        return np.zeros(np.broadcast_shapes(np.shape(z), n.shape), dtype=bool)
     s = np.linalg.norm(p.stack(L)[0], 2, axis=(1, 2)).max()
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite(z) & (N * np.abs(np.imag(z)) >= DOUBLING_GATE * s)
+        return ((n >= DOUBLING_PERIODS * L) & np.isfinite(z)
+                & (n * np.abs(np.imag(z)) >= DOUBLING_GATE * s))
 
 
-def _doubled(p: JacobiParams, zi: np.ndarray, N: int) -> np.ndarray:
-    """W of the N-block section of a family of period L, for the stack zi of zI.
+def _doubled(p: JacobiParams, zi: np.ndarray, n: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W of the n-block sections of a family of period L, for the (m, d, d)
+    stack zi of zI and one block count n >= M per z.
 
     M backward steps, M = DOUBLING_PERIODS * L, are one map
     Phi(G) = alpha + beta G (I - gamma G)^{-1} delta from G_M to G_0, with
     (alpha, beta, gamma, delta) = (R_00, R_{0,M-1} A, A* R_{M-1,M-1} A, A* R_{M-1,0})
     for R the resolvent of the M-block section and A = A_{M-1}.  The corners come
     from short sweeps: R_00 and the off-diagonal corners from one, R_{M-1,M-1}
-    from the sweep of the reversed section.  With N = q M + r, W = Phi^q(G_r),
-    G_r the sweep over the first r blocks (0 if r = 0); binary powering takes
-    about 2 log2 q compositions.
+    from the sweep of the reversed section.  With n = q M + r, W = Phi^q(G_r),
+    where w holds each z's G_r, the sweep over its first r blocks (0 if r = 0).
+    The map is built once and powered bit by bit: a z composes only where its
+    own q has the bit set, and its map is squared only while q has bits left
+    (the z sorted by q, so those are a prefix), so each z meets the
+    compositions, about 2 log2 q, of its call alone.
     """
     M = DOUBLING_PERIODS * p.period
-    q, r = divmod(N, M)
+    q, done = np.divmod(n, M)  # done: the blocks each z's w stands for
+    order = np.argsort(-q, kind="stable")
+    zi, q, done, w = zi[order], q[order].tolist(), done[order], w[order]
     a, b = p.stack(M)
     g, top, bottom = _sweep(a, b, zi, ends=True)
     last = _sweep(a[-2::-1].conj().transpose(0, 2, 1), b[::-1], zi)
     ah = a[-1].conj().T
     phi, size = (g, top @ a[-1], ah @ last @ a[-1], ah @ bottom), M
-    w, done = (_sweep(a[:r], b[:r], zi) if r else np.zeros_like(zi),), r
     while True:
-        if q & 1:
-            done += size
-            w = _compose(phi, w, done)
-        q >>= 1
+        hit = [i for i, qi in enumerate(q) if qi & 1]
+        if hit:
+            if len(hit) == len(q):  # every live z: the stacks as they are, no gathers
+                hit = slice(len(q))
+            done[hit] += size
+            w[hit] = _compose(tuple(x[hit] for x in phi), (w[hit],), done[hit])[0]
+        q = [qi >> 1 for qi in q if qi >> 1]  # still a prefix
         if not q:
-            return w[0]
+            break
         size *= 2
+        phi = tuple(x[:len(q)] for x in phi)
         phi = _compose(phi, phi, size)
+    out = np.empty_like(w)
+    out[order] = w
+    return out
 
 
-def _compose(f: tuple, g: tuple, n: int) -> tuple:
+def _compose(f: tuple, g: tuple, n) -> tuple:
     """f o g for maps G -> alpha + beta G (I - gamma G)^{-1} delta given as
     (alpha, beta, gamma, delta) stacks; a g of (alpha,) alone is the constant
     map alpha, and so is f o g then.  n is the number of blocks of the section
-    f o g stands for, named if a solve is singular.
+    f o g stands for, an int or one per z, named if a solve is singular (for
+    the first such z).
 
     With K = I - gamma_f alpha_g: alpha = alpha_f + beta_f alpha_g K^{-1} delta_f,
     beta = beta_f (I - alpha_g gamma_f)^{-1} beta_g,
@@ -253,6 +300,9 @@ def _compose(f: tuple, g: tuple, n: int) -> tuple:
             return (a1 + b1 @ a2 @ x[..., :d], b1 @ np.linalg.solve(eye - a2 @ c1, b2),
                     c2 + d2 @ x[..., d:], d2 @ x[..., :d])
     except np.linalg.LinAlgError as exc:
+        if np.ndim(n):  # z by z, so the message names the first failing z's own n
+            for i, ni in enumerate(n):
+                _compose(tuple(x[i:i + 1] for x in f), tuple(x[i:i + 1] for x in g), int(ni))
         raise np.linalg.LinAlgError(
             f"singular doubling solve at {n} blocks: z too close to the section spectrum"
         ) from exc
@@ -339,16 +389,27 @@ def _check_ladder(eps_ladder) -> np.ndarray:
     return ladder
 
 
-def _classify(ws: list[np.ndarray], tr_im: list[float]) -> dict:
-    """Per-lambda decision from the ladder of W values (eps decreasing)."""
-    n = len(ws)
+def _ladder_stats(w: np.ndarray) -> tuple:
+    """What ``_decide`` reads, for ladders of W stacked along axis 0 (eps
+    decreasing), each statistic from one stacked call: tr Im W per rung, the
+    rung-to-rung gaps ||W_{k+1} - W_k||_2, and at the last rung ||W||_2, the
+    singular values of Im W (decreasing) and Im W itself."""
+    im_w = (w - np.swapaxes(w.conj(), -1, -2)) / 2j
+    return (np.trace(im_w, axis1=-2, axis2=-1).real,
+            np.linalg.norm(w[1:] - w[:-1], 2, axis=(-2, -1)),
+            np.linalg.norm(w[-1], 2, axis=(-2, -1)),
+            np.linalg.svd(im_w[-1], compute_uv=False), im_w[-1])
+
+
+def _decide(tr_im, diffs, w_norm, sv, im_w) -> dict:
+    """One lambda's label from its ladder statistics (``_ladder_stats``)."""
+    n = len(tr_im)
     # singular candidate: trace blow-up across the last three rungs
     if n >= 4 and tr_im[-1] > 1e3 and all(
             tr_im[k + 1] >= 2.0 * tr_im[k] for k in range(n - 4, n - 1)):
         return {"label": "sing_candidate", "rank": None, "density": None}
-    diffs = [np.linalg.norm(ws[k + 1] - ws[k], 2) for k in range(n - 1)]
-    scale = max(1.0, np.linalg.norm(ws[-1], 2))
-    tail = diffs[-3:] if len(diffs) >= 3 else diffs
+    scale = max(1.0, w_norm)
+    tail = diffs[-3:]
     cauchy = all(
         tail[k + 1] <= 0.9 * tail[k] or tail[k + 1] < 1e-10 * scale
         for k in range(len(tail) - 1)
@@ -361,12 +422,10 @@ def _classify(ws: list[np.ndarray], tr_im: list[float]) -> dict:
                  and tr_im[-1] <= 0.5 * tr_im[j0])
     if vanishing:
         return {"label": "outside", "rank": 0, "density": None}
-    im_w = (ws[-1] - ws[-1].conj().T) / 2j
-    sv = np.linalg.svd(im_w, compute_uv=False)
     thr = max(1e-6, RANK_REL * (sv[0] if len(sv) else 0.0))
     rank = int(np.sum(sv > thr))
     if rank >= 1:
-        return {"label": f"ac", "rank": rank, "density": im_w / math.pi}
+        return {"label": "ac", "rank": rank, "density": im_w / math.pi}
     return {"label": "outside", "rank": 0, "density": None}
 
 
@@ -374,41 +433,50 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
                   n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
-    Each rung is one Schur sweep over the whole lambda grid, redone one lambda
-    at a time if it raises.  A failed (lambda, eps) is recorded as a row with
-    its error message rather than raised, and its lambda as undecided with the
-    first such message; rows are in grid order, deterministic.
+    Each rung's N = n_rule(eps) is taken on its own, and then one call of
+    ``_schur`` (``weyl_schur``'s W stack), with one N per rung, gives W on the
+    whole (lambda, eps) grid; if it raises, each rung is redone as one call over
+    the lambda grid, and a rung that raises again one lambda at a time.  The labels read ``_ladder_stats``
+    of the whole grid.  A failed (lambda, eps), a rule or cap error of its rung
+    included, is recorded as a row with its error message rather than raised,
+    and its lambda as undecided with the first such message; rows are in grid
+    order, deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     eps_ladder = _check_ladder(eps_ladder)
-    rungs = []  # per eps: the grid's stack of W, or None where the sweep raised
-    for eps in eps_ladder if len(lambda_grid) else ():
+    z = np.empty((len(eps_ladder), len(lambda_grid)), dtype=complex)  # z[rung, lambda]
+    z.real, z.imag = lambda_grid, eps_ladder[:, None]
+    w = np.zeros(z.shape + (p.d, p.d), dtype=complex)
+    errors, failed = np.full(z.shape, "", dtype=object), np.zeros(z.shape, dtype=bool)
+    ns = {}  # rung -> N, for the rungs whose rule gave one
+    for r, eps in enumerate(eps_ladder if len(lambda_grid) else ()):
         try:
-            rungs.append(weyl_schur(p, np.array([complex(lam, eps) for lam in lambda_grid]),
-                                    n_rule(eps)).W)
-        except NUMERICAL_ERRORS:
-            rungs.append(None)
-    rows = []
-    classification = []
-    for i, lam in enumerate(lambda_grid):
-        ws, tr_im, errors = [], [], []
-        for eps, rung in zip(eps_ladder, rungs):
+            ns[r] = n_rule(eps)
+        except NUMERICAL_ERRORS as exc:
+            errors[r], failed[r] = str(exc), True
+    try:
+        if ns:
+            w[list(ns)] = _schur(p, z[list(ns)], np.array(list(ns.values()))[:, None])
+    except NUMERICAL_ERRORS:
+        for r, n in ns.items():
             try:
-                w = weyl_schur(p, complex(lam, eps), n_rule(eps)).W if rung is None else rung[i]
-            except NUMERICAL_ERRORS as exc:
-                errors.append(str(exc))
-                rows.append({"lambda": float(lam), "eps": float(eps),
-                             "W": None, "tr_im": math.nan, "error": errors[-1]})
-                continue
-            im_w = (w - w.conj().T) / 2j
-            t = float(np.trace(im_w).real)
-            ws.append(w)
-            tr_im.append(t)
-            rows.append({"lambda": float(lam), "eps": float(eps),
-                         "W": w, "tr_im": t, "error": ""})
-        if errors or len(ws) < 2:
+                w[r] = _schur(p, z[r], n)
+            except NUMERICAL_ERRORS:
+                for i, zri in enumerate(z[r]):
+                    try:
+                        w[r, i] = _schur(p, complex(zri), n)
+                    except NUMERICAL_ERRORS as exc:
+                        errors[r, i], failed[r, i] = str(exc), True
+    tr_im, diffs, w_norm, sv, im_w = _ladder_stats(w)
+    rows = [{"lambda": float(lam), "eps": float(eps), "W": None if failed[r, i] else w[r, i],
+             "tr_im": math.nan if failed[r, i] else float(tr_im[r, i]), "error": errors[r, i]}
+            for i, lam in enumerate(lambda_grid) for r, eps in enumerate(eps_ladder)]
+    classification = []
+    for i in range(len(lambda_grid)):
+        messages = errors[failed[:, i], i]  # of the failed rungs, in ladder order
+        if len(messages) or len(eps_ladder) < 2:
             classification.append({"label": "undecided", "rank": None, "density": None,
-                                   "error": errors[0] if errors else ""})
+                                   "error": messages[0] if len(messages) else ""})
         else:
-            classification.append(_classify(ws, tr_im))
+            classification.append(_decide(tr_im[:, i], diffs[:, i], w_norm[i], sv[i], im_w[i]))
     return BoundaryScan(lambda_grid, eps_ladder, rows, classification)

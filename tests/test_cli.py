@@ -261,6 +261,8 @@ FREE = {"name": "free", "d": 1}
      "t_grid: steps = 4097 is above the cap of 4096 nodes"),
     ({"command": "nonsub", "t_grid": {"max": 1e-323, "steps": 2 ** 40}}, [],
      "t_grid: steps = 1099511627776 is above the cap of 4096 nodes"),
+    ({"command": "weyl-scan", "n_rule_C": math.inf}, [], "n_rule_C must be finite, got inf"),
+    ({"command": "nonsub", "cap": "inf"}, [], "cap must be finite, got inf"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})

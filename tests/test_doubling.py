@@ -123,6 +123,12 @@ def test_a_singular_composition_solve_is_a_located_error_without_a_numpy_warning
         monkeypatch.setattr(weyl, "DOUBLING_GATE", 0.0)
         with pytest.raises(np.linalg.LinAlgError, match=f"^{message.format(32)}$"):
             weyl_schur(make_family("free", 1), np.array([2j, 1 + 1e-9j]), 100)
+        # an eigenvalue of the 11-block section, met composing the remainder's 3 blocks
+        # with 8; in a batch with another N the message names that z's own section
+        z = complex(2 * math.cos(5 * math.pi / 12), 0.0)
+        for zs, ns in ((z, 11), (np.array([2j, z]), np.array([40, 11]))):
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{message.format(11)}$"):
+                weyl_schur(make_family("free", 1), zs, ns)
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.1, 1e-2, 1e-3, 1e-4])

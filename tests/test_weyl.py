@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import bjweyl.weyl
+from bjweyl import transfer
 from bjweyl.blockcore import HORIZON_CAP, JacobiParams, ParamsError, make_family
-from bjweyl.solutions import columns_as_gev_check, decompose
+from bjweyl.solutions import columns_as_gev_check, compute_PQ, decompose
 from bjweyl.weyl import (
+    RANK_REL,
     boundary_scan,
     default_n_rule,
     energy_identity_gap,
@@ -16,7 +18,6 @@ from bjweyl.weyl import (
     weyl_resolvent,
     weyl_schur,
     weyl_solution,
-    _classify,
 )
 from bjweyl.subordinacy import gram_nodes
 from conftest import random_bounded_params
@@ -216,6 +217,36 @@ def test_array_z_schur_raises_the_scalar_message_at_a_singular_pivot():
         "singular Schur pivot at block 0: z too close to the section spectrum")
 
 
+def _classify(ws: list, tr_im: list) -> dict:
+    """One lambda's label from its ladder of W values (eps decreasing), a W at a
+    time: the scan's decision rules before they read stacked statistics."""
+    n = len(ws)
+    if n >= 4 and tr_im[-1] > 1e3 and all(
+            tr_im[k + 1] >= 2.0 * tr_im[k] for k in range(n - 4, n - 1)):
+        return {"label": "sing_candidate", "rank": None, "density": None}
+    diffs = [np.linalg.norm(ws[k + 1] - ws[k], 2) for k in range(n - 1)]
+    scale = max(1.0, np.linalg.norm(ws[-1], 2))
+    tail = diffs[-3:] if len(diffs) >= 3 else diffs
+    cauchy = all(
+        tail[k + 1] <= 0.9 * tail[k] or tail[k + 1] < 1e-10 * scale
+        for k in range(len(tail) - 1)
+    )
+    if not cauchy:
+        return {"label": "undecided", "rank": None, "density": None}
+    j0 = max(0, n - 3)
+    vanishing = (all(tr_im[k + 1] < tr_im[k] for k in range(j0, n - 1))
+                 and tr_im[-1] <= 0.5 * tr_im[j0])
+    if vanishing:
+        return {"label": "outside", "rank": 0, "density": None}
+    im_w = (ws[-1] - ws[-1].conj().T) / 2j
+    sv = np.linalg.svd(im_w, compute_uv=False)
+    thr = max(1e-6, RANK_REL * (sv[0] if len(sv) else 0.0))
+    rank = int(np.sum(sv > thr))
+    if rank >= 1:
+        return {"label": "ac", "rank": rank, "density": im_w / math.pi}
+    return {"label": "outside", "rank": 0, "density": None}
+
+
 def _scan_one_call_per_sample(p, lambda_grid, eps_ladder, n_rule):
     """boundary_scan's rows and classification from one scalar weyl_schur call
     per (lambda, eps)."""
@@ -246,29 +277,52 @@ def _same(x, y):
     return x == y or (x != x and y != y)  # NaN tr_im on both sides
 
 
-@pytest.mark.parametrize("case", ["short_explicit", "random_d1", "random_d2", "random_d3"])
+_README = [{"a": 1.0, "b": 0.0}, {"a": 1.0, "b": 0.5}]
+
+
+@pytest.mark.parametrize("case", ["short_explicit", "random_d1", "random_d2", "random_d3",
+                                  "free", "constant_a5", "readme_diagonal"])
 def test_boundary_scan_equals_one_schur_call_per_sample(rng, monkeypatch, case):
+    grid, ladder, n_rule, failed = np.linspace(-2, 2, 9), [0.1, 0.03, 0.01, 0.003], \
+        default_n_rule, 0
     if case == "short_explicit":  # the deepest two rungs need more than the 3 listed blocks
         p = make_family("explicit", 1, A=[[[1.0]]] * 3, B=[[[0.0]]] * 3)
         grid, ladder, n_rule = np.linspace(-2, 2, 5), [1.0, 0.5, 0.25], lambda eps: round(3 / eps)
-    else:  # 96 random blocks: N = 80 fits, the last rung's N = 200 does not
+        failed = 2
+    elif case.startswith("random"):  # 96 random blocks: N = 80 fits, the last rung's N = 200 does not
         p = random_bounded_params(rng, int(case[-1]))
         grid, ladder = np.linspace(-3, 3, 7), [0.5, 0.2, 0.1, 0.05, 0.02]
-        n_rule = lambda eps: math.ceil(4 / eps)
-    calls = []
-    sweep = bjweyl.weyl.weyl_schur
-    monkeypatch.setattr(bjweyl.weyl, "weyl_schur", lambda *a: calls.append(a[1]) or sweep(*a))
-    scan = boundary_scan(p, grid, ladder, n_rule=n_rule)
+        n_rule, failed = lambda eps: math.ceil(4 / eps), 1
+    elif case == "free":  # both routes in one scan: N = 2 < M and N |Im z| = 10 are swept
+        p, ladder = make_family("free", 1), [5.0, 1.0, 0.3, 0.1, 0.03]
+        n_rule = lambda eps: math.ceil((10 if eps > 0.5 else 50) / eps)
+    elif case == "constant_a5":  # N |Im z| = 50 is below the gate's 20 ||A|| = 100: swept
+        p, grid = make_family("constant", 1, A=[[5.0]], B=[[0.0]]), np.linspace(-12, 12, 9)
+    else:
+        p = make_family("diagonal", 2, components=_README)
+    z_ladder = np.array(ladder)[:, None] * 1j + grid
+    routes = {bool(x) for r, eps in enumerate(ladder) if not failed
+              for x in bjweyl.weyl._doubles(p, z_ladder[r], n_rule(eps))}
+    assert routes == {"free": {True, False}, "constant_a5": {False},
+                      "readme_diagonal": {True}}.get(case, routes)
     rows, classification = _scan_one_call_per_sample(p, grid, ladder, n_rule)
+    calls = []  # the scan's calls of the W stack behind weyl_schur
+    sweep = bjweyl.weyl._schur
+    monkeypatch.setattr(bjweyl.weyl, "_schur", lambda *a: calls.append(a[1]) or sweep(*a))
+    scan = boundary_scan(p, grid, ladder, n_rule=n_rule)
     got = [(r["lambda"], r["eps"], r["W"], r["tr_im"], r["error"]) for r in scan.rows]
     assert len(got) == len(rows) == len(grid) * len(ladder)
     assert all(_same(x, y) for g, r in zip(got, rows) for x, y in zip(g, r))
     assert [c.keys() for c in scan.classification] == [c.keys() for c in classification]
     assert all(_same(c[k], e[k]) for c, e in zip(scan.classification, classification) for k in c)
-    failed = 2 if case == "short_explicit" else 1
-    assert any(r[4] for r in rows)  # the per-lambda redo of each failed rung is exercised
-    assert len(calls) == len(ladder) + failed * len(grid)
-    assert all(np.shape(z) == grid.shape for z in calls[:len(ladder) - failed])
+    assert np.shape(calls[0]) == (len(ladder), len(grid))  # one call for the whole grid
+    if not failed:
+        assert len(calls) == 1 and not any(r[4] for r in rows)
+    else:  # then one call per rung, and one per lambda on each failed rung
+        assert any(r[4] for r in rows)
+        shapes = [np.shape(z) for z in calls[1:]]
+        assert len(calls) == 1 + len(ladder) + failed * len(grid)
+        assert shapes.count(grid.shape) == len(ladder) and shapes.count(()) == failed * len(grid)
 
 
 def test_library_scan_past_the_cap_names_it_without_a_numpy_warning():
@@ -298,6 +352,94 @@ def test_a_non_finite_sweep_raises_for_its_z_only_without_a_numpy_warning():
         assert scan.classification[i]["label"] == per_lambda.classification[j]["label"]
         assert all(np.array_equal(a["W"], b["W"])
                    for a, b in zip(scan.rows[3 * i:3 * i + 3], per_lambda.rows[3 * j:3 * j + 3]))
+
+
+_NON_FINITE = [complex(math.inf, 0.1), complex(-math.inf, 0.1), complex(0.5, math.inf),
+               complex(0.5, -math.inf), complex(math.nan, 0.1), complex(0.5, math.nan)]
+
+
+@pytest.mark.parametrize("z", _NON_FINITE)
+@pytest.mark.parametrize("family", ["free", "explicit"])  # with a period, and without
+def test_a_non_finite_z_is_a_located_error_at_every_zi_without_a_numpy_warning(z, family):
+    p = (make_family("free", 1) if family == "free"
+         else make_family("explicit", 1, A=[[[1.0]]] * 300, B=[[[0.0]]] * 300))
+    message = "W is not finite: the Schur sweep overflowed"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zs in (z, np.array([2j, z, 0.5 + 0.5j])):
+            with pytest.raises(ArithmeticError, match=f"^{message}$"):
+                weyl_schur(p, zs, 50)
+        # zI for the transfer step and the P/Q walk comes from the same helper
+        with pytest.raises(ValueError, match="^recurrence overflows: term at n=1 is not finite$"):
+            compute_PQ(p, z, 5)
+        assert not np.all(np.isfinite(transfer._step(p, np.array([1j, z]), 0)[1]))
+        if z.imag == 0.1:  # a lambda of the scan
+            scan = boundary_scan(p, [0.0, z.real], [0.5, 0.2])
+    if z.imag == 0.1:
+        assert [r["error"] for r in scan.rows] == ["", "", message, message]
+        assert scan.classification[1]["error"] == message
+
+
+def _family(rng, name):
+    if name == "periodic":  # L = 3, d = 2: M = 12
+        a, b = random_bounded_params(rng, 2, n_blocks=3).stack(3)
+        return make_family("periodic_modulated", 2, A_period=list(a), B_period=list(b))
+    if name == "readme_diagonal":
+        return make_family("diagonal", 2, components=[{"a": 1.0, "b": 0.0}, {"a": 1.0, "b": 0.5}])
+    if name == "constant_a5":
+        return make_family("constant", 1, A=[[5.0]], B=[[0.0]])
+    if name == "explicit":
+        a, b = random_bounded_params(rng, 2, n_blocks=1100).stack(1100)
+        return make_family("explicit", 2, A=list(a), B=list(b))
+    return random_bounded_params(rng, 2, n_blocks=1100)  # a user rule
+
+
+@pytest.mark.parametrize("name", ["periodic", "readme_diagonal", "constant_a5", "explicit",
+                                  "user_rule"])
+def test_array_n_is_bit_identical_to_the_scalar_call_at_each_z_and_n(rng, name):
+    p = _family(rng, name)
+    M = bjweyl.weyl.DOUBLING_PERIODS * (p.period or 1)
+    # below M, M, multiples of M (no remainder), remainders, and a long section
+    ns = np.array([1, 3, M - 1, M, 2 * M, 8 * M, 8 * M + 5, 97, 1000])
+    z = (rng.uniform(-3, 3, (4, 1)) + 1j * np.array([[1e-3], [0.05], [0.5], [2.0]]))
+    if name == "constant_a5":  # the default rule's rungs, all below the gate of 20 ||A||
+        ladder = np.array([1.0, 0.3, 0.1, 0.03])
+        ns = np.array([default_n_rule(e) for e in ladder])[:, None]
+        z = rng.uniform(-12, 12, 5) + 1j * ladder[:, None]
+    fast = bjweyl.weyl._doubles(p, *np.broadcast_arrays(z, ns))
+    if p.period is None or name == "constant_a5":
+        assert not fast.any()
+    else:  # N |Im z| on both sides of the gate, and N on both sides of M, in one call
+        assert fast.any() and not fast.all()
+    batch = weyl_schur(p, z, ns)
+    assert batch.W.shape == fast.shape + (p.d, p.d)
+    zb, nb = np.broadcast_arrays(z, ns)
+    for idx in np.ndindex(fast.shape):
+        one = weyl_schur(p, complex(zb[idx]), int(nb[idx]))
+        assert np.array_equal(batch.W[idx], one.W)
+        assert batch.diagnostics["herglotz_min_eig"][idx] == one.diagnostics["herglotz_min_eig"]
+
+
+@pytest.mark.parametrize("name", ["periodic", "explicit"])
+def test_an_empty_z_gives_an_empty_stack(rng, name):
+    p = _family(rng, name)
+    for z, ns in ((np.array([], dtype=complex), 50),
+                  (np.zeros((0, 3), dtype=complex), np.array([5, 50, 1000]))):
+        s = weyl_schur(p, z, ns)
+        assert s.W.shape == z.shape + (p.d, p.d)
+        assert np.shape(s.diagnostics["herglotz_min_eig"]) == z.shape
+
+
+def test_an_array_n_above_the_cap_anywhere_raises_before_calling_the_rule():
+    calls = []
+    p = JacobiParams(1, lambda n: calls.append(n) or (np.eye(1), np.zeros((1, 1))))
+    for ns in ([10, HORIZON_CAP + 1, 20], [[HORIZON_CAP + 7], [5]]):
+        with pytest.raises(ValueError, match=f"^{max(np.ravel(ns))} blocks requested, above the "
+                                             f"cap of {HORIZON_CAP} blocks$"):
+            weyl_schur(p, 0.1j, np.array(ns))
+    with pytest.raises(ValueError, match="^N must be >= 1$"):
+        weyl_schur(p, np.array([0.1j, 1j]), np.array([4, 0]))
+    assert calls == []
 
 
 def test_weyl_solution_pads_for_small_im_z():
