@@ -3,8 +3,8 @@
 The central object is :class:`JacobiParams`: the block sequences (A_n), (B_n)
 with ``det A_n != 0`` and ``B_n = B_n*``.  Blocks are materialized lazily from
 a rule into one array store, which every family, user rules included, enters
-through ``JacobiParams.stack``; each new slab is checked there in one batched
-call, and no store grows past ``HORIZON_CAP`` blocks.
+through ``JacobiParams.stack``; each new slab is checked there in batched
+calls of at most 2**14 blocks, and no store grows past ``HORIZON_CAP`` blocks.
 """
 
 from __future__ import annotations
@@ -159,9 +159,11 @@ class JacobiParams:
     def stack(self, N: int) -> tuple[np.ndarray, np.ndarray]:
         """(A_0..A_{N-1}, B_0..B_{N-1}) as two (N, d, d) views into the store.
 
-        New indices get one ``rule`` call each, in order, and one batched check;
-        a bad block raises for the lowest failing n (``_bad`` records them all).
-        The store grows geometrically; N above HORIZON_CAP raises before any call.
+        New indices get one ``rule`` call each, in order, and a batched check
+        in pieces of 2**14 blocks (its temporaries stay a fraction of the
+        store); a bad block raises for the lowest failing n (``_bad`` records
+        them all).  The store grows geometrically; N above HORIZON_CAP raises
+        before any call.
         """
         check_cap(N)
         first, d = self._n, self.d
@@ -176,8 +178,8 @@ class JacobiParams:
                         self._store[:, n] = [_as_block(x, d, n) for x in self.rule(n)]
                         self._n = n + 1
         finally:  # pairs stored before a failure are kept and checked; the lowest bad n wins
-            if self._n > first:
-                self._bad += _violations(*self._store[:, first:self._n], first)
+            for lo in range(first, self._n, 2 ** 14):  # slabs bound the check's temporaries
+                self._bad += _violations(*self._store[:, lo:min(lo + 2 ** 14, self._n)], lo)
             if self._bad and (v := self._bad[0])["n"] < N:
                 what = "singular A" if v["kind"] == "singular_A" else "non-Hermitian B"
                 raise ParamsError(f"{what} at n={v['n']}")

@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 DEFAULT_N_RULE_C = 50.0  # N(eps) = ceil(C/eps) blocks
-RANK_REL = 1e-3  # _classify's rank: singular values of Im W above this share of the largest
+RANK_REL = 1e-3  # _decide's rank: singular values of Im W above this share of the largest
 DOUBLING_PERIODS = 4  # the doubled route's base map: the section of M = 4 periods
 DOUBLING_GATE = 20.0  # doubled only where N |Im z| >= DOUBLING_GATE * max ||A_n||
+NOT_FINITE = "W is not finite: the Schur sweep overflowed"
 
 
 @dataclass(frozen=True)
@@ -152,19 +153,29 @@ def weyl_schur(p: JacobiParams, z, N) -> WeylSample:
     non-finite W at any z (ArithmeticError: the sweep overflowed, or z was not
     finite), with no numpy warning.
     """
-    w = _schur(p, z, N)
+    w, finite = _schur(p, z, N)
+    if not finite.all():
+        raise ArithmeticError(NOT_FINITE)
     z = z if np.shape(z) == w.shape[:-2] else np.broadcast_to(z, w.shape[:-2])
     return WeylSample(z, w, "schur", N, {"herglotz_min_eig": _herglotz_min_eig(z, w)})
 
 
-def _schur(p: JacobiParams, z, N) -> np.ndarray:
-    """The W stack of ``weyl_schur`` alone.  ``boundary_scan`` calls this: it
-    reads W only, and perfbench's tracer records a ``weyl_schur`` call's N as
-    one number, which a scan's N per rung is not."""
-    zb, nb = np.broadcast_arrays(z, N)
-    check_cap(int(nb.max(initial=1)))
-    if nb.min(initial=1) < 1:
+def _check_n(N) -> None:
+    """ValueError unless every block count in N (an int or an array) is in
+    1..HORIZON_CAP: the checks ``_schur`` makes before any block is read."""
+    check_cap(int(np.max(N, initial=1)))
+    if np.min(N, initial=1) < 1:
         raise ValueError("N must be >= 1")
+
+
+def _schur(p: JacobiParams, z, N) -> tuple:
+    """The W stack of ``weyl_schur`` and a per-z mask of where W and z are
+    finite (at z = inf, W = 0 is a limit): ``weyl_schur`` raises from it, and
+    ``boundary_scan``, which calls this, records it per point.  The scan reads
+    W only, and perfbench's tracer records a ``weyl_schur`` call's N as one
+    number, which a scan's N per rung is not."""
+    zb, nb = np.broadcast_arrays(z, N)
+    _check_n(nb)
     zi, fast = scaled_eye(zb, p.d), _doubles(p, zb, nb)
     zf, n, fast = zi.reshape(-1, p.d, p.d), nb.ravel(), fast.ravel()
     length = n.copy()  # of each z's sweep: a doubled z is swept over N mod M
@@ -175,9 +186,7 @@ def _schur(p: JacobiParams, z, N) -> np.ndarray:
     g[order] = _sweep(*p.stack(int(length.max(initial=0))), zf[order], length[order])
     if fast.any():
         g[fast] = _doubled(p, zf[fast], n[fast], g[fast])
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(zb))):  # at z = inf, W = 0 is a limit
-        raise ArithmeticError("W is not finite: the Schur sweep overflowed")
-    return g.reshape(zi.shape)
+    return g.reshape(zi.shape), np.isfinite(g).all(axis=(1, 2)).reshape(zb.shape) & np.isfinite(zb)
 
 
 def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, n=None, ends: bool = False):
@@ -292,7 +301,7 @@ def _compose(f: tuple, g: tuple, n) -> tuple:
     a2, d = g[0], g[0].shape[-1]
     eye = np.eye(d)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by weyl_schur
+        with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by _schur
             if len(g) == 1:
                 return (a1 + b1 @ a2 @ np.linalg.solve(eye - c1 @ a2, d1),)
             _, b2, c2, d2 = g
@@ -433,14 +442,16 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
                   n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
-    Each rung's N = n_rule(eps) is taken on its own, and then one call of
-    ``_schur`` (``weyl_schur``'s W stack), with one N per rung, gives W on the
-    whole (lambda, eps) grid; if it raises, each rung is redone as one call over
-    the lambda grid, and a rung that raises again one lambda at a time.  The labels read ``_ladder_stats``
-    of the whole grid.  A failed (lambda, eps), a rule or cap error of its rung
-    included, is recorded as a row with its error message rather than raised,
-    and its lambda as undecided with the first such message; rows are in grid
-    order, deterministic.
+    Each rung is checked on its own first: its N = n_rule(eps), N against
+    1..HORIZON_CAP and the blocks its sweep reads (of a family with a period,
+    the first period).  Then one ``_schur`` call (``weyl_schur``'s W stack),
+    one N per rung, gives W on the grid of the rungs that passed; a (lambda,
+    eps) whose W or z is not finite is read off its mask, and an error of the
+    call itself (a singular pivot or doubling solve, ruled out at Im z > 0 in
+    exact arithmetic) is recorded at every called point.  The labels read
+    ``_ladder_stats`` of the whole grid.  A failed (lambda, eps) is a row with
+    its error message rather than raised, and its lambda undecided with the
+    first such message; rows are in grid order, deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     eps_ladder = _check_ladder(eps_ladder)
@@ -448,25 +459,23 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
     z.real, z.imag = lambda_grid, eps_ladder[:, None]
     w = np.zeros(z.shape + (p.d, p.d), dtype=complex)
     errors, failed = np.full(z.shape, "", dtype=object), np.zeros(z.shape, dtype=bool)
-    ns = {}  # rung -> N, for the rungs whose rule gave one
+    ns = {}  # rung -> N, for the rungs that passed their checks
     for r, eps in enumerate(eps_ladder if len(lambda_grid) else ()):
         try:
-            ns[r] = n_rule(eps)
+            n = n_rule(eps)
+            _check_n(n)
+            p.stack(min(n, p.period or n))
+            ns[r] = n
         except NUMERICAL_ERRORS as exc:
             errors[r], failed[r] = str(exc), True
+    rungs = list(ns)
     try:
-        if ns:
-            w[list(ns)] = _schur(p, z[list(ns)], np.array(list(ns.values()))[:, None])
-    except NUMERICAL_ERRORS:
-        for r, n in ns.items():
-            try:
-                w[r] = _schur(p, z[r], n)
-            except NUMERICAL_ERRORS:
-                for i, zri in enumerate(z[r]):
-                    try:
-                        w[r, i] = _schur(p, complex(zri), n)
-                    except NUMERICAL_ERRORS as exc:
-                        errors[r, i], failed[r, i] = str(exc), True
+        wr, finite = _schur(p, z[rungs], np.array(list(ns.values()), dtype=int)[:, None])
+    except NUMERICAL_ERRORS as exc:
+        errors[rungs], failed[rungs] = str(exc), True
+    else:  # a NaN left in the stack would fail _ladder_stats' SVD
+        w[rungs] = np.where(finite[..., None, None], wr, 0)
+        errors[rungs], failed[rungs] = np.where(finite, "", NOT_FINITE), ~finite
     tr_im, diffs, w_norm, sv, im_w = _ladder_stats(w)
     rows = [{"lambda": float(lam), "eps": float(eps), "W": None if failed[r, i] else w[r, i],
              "tr_im": math.nan if failed[r, i] else float(tr_im[r, i]), "error": errors[r, i]}

@@ -6,6 +6,7 @@ from bjweyl.blockcore import (
     BlockVecSeq,
     JacobiParams,
     ParamsError,
+    _violations,
     apply_formal,
     cyclic_block_product,
     delta_seq,
@@ -13,7 +14,7 @@ from bjweyl.blockcore import (
     matrix_functionals,
     validate_params,
 )
-from conftest import random_bounded_params
+from conftest import random_bounded_params, traced_peak
 
 
 def test_free_family_blocks():
@@ -183,6 +184,24 @@ def test_store_grows_in_slabs_and_calls_the_rule_once_per_index(rng):
     assert np.array_equal(a25, a[25])
     assert np.array_equal(p.stack(26)[0], a) and np.array_equal(p.stack(26)[1], b)
     assert calls == list(range(26))
+
+
+def test_the_check_of_a_long_slab_runs_in_pieces_with_the_records_of_one_call():
+    bad = {0: "both", 2 ** 14 - 1: "singular_A", 2 ** 14: "non_hermitian_B",
+           2 ** 15 + 7: "both", 39_999: "singular_A"}
+    p = JacobiParams(2, lambda n: _pair(n % 40, 2, bad.get(n)))
+    with pytest.raises(ParamsError, match="^singular A at n=0$"):
+        p.stack(40_000)
+    assert p._bad == _violations(*p._store[:, :40_000], 0)  # every pair was kept and checked
+    assert [v["n"] for v in p._bad] == [0, 0, 2 ** 14 - 1, 2 ** 14, 2 ** 15 + 7, 2 ** 15 + 7,
+                                       39_999]
+
+
+def test_the_store_check_holds_temporaries_well_below_the_store():
+    p = make_family("free", 2)
+    _, peak = traced_peak(p.stack, 2 ** 16)
+    store = p._store.nbytes  # 8 MiB; the check of one 2**16-block slab held 9.1 MiB more
+    assert peak - store < store / 2, (peak, store)
 
 
 def test_a_misshapen_or_non_finite_block_names_its_index():

@@ -280,28 +280,51 @@ def _same(x, y):
 _README = [{"a": 1.0, "b": 0.0}, {"a": 1.0, "b": 0.5}]
 
 
+_LABELS = {"sing_candidate": ["sing_candidate"], "undecided_a20": ["undecided"] * 2,
+           "outside_rank_0": ["outside"]}
+
+
 @pytest.mark.parametrize("case", ["short_explicit", "random_d1", "random_d2", "random_d3",
-                                  "free", "constant_a5", "readme_diagonal"])
+                                  "free", "constant_a5", "readme_diagonal", "zero_rung",
+                                  "periodic_bad_block", "sing_candidate", "undecided_a20",
+                                  "outside_rank_0"])
 def test_boundary_scan_equals_one_schur_call_per_sample(rng, monkeypatch, case):
     grid, ladder, n_rule, failed = np.linspace(-2, 2, 9), [0.1, 0.03, 0.01, 0.003], \
-        default_n_rule, 0
+        default_n_rule, set()  # failed: the rungs that fail their own check
     if case == "short_explicit":  # the deepest two rungs need more than the 3 listed blocks
         p = make_family("explicit", 1, A=[[[1.0]]] * 3, B=[[[0.0]]] * 3)
         grid, ladder, n_rule = np.linspace(-2, 2, 5), [1.0, 0.5, 0.25], lambda eps: round(3 / eps)
-        failed = 2
+        failed = {1, 2}
     elif case.startswith("random"):  # 96 random blocks: N = 80 fits, the last rung's N = 200 does not
         p = random_bounded_params(rng, int(case[-1]))
         grid, ladder = np.linspace(-3, 3, 7), [0.5, 0.2, 0.1, 0.05, 0.02]
-        n_rule, failed = lambda eps: math.ceil(4 / eps), 1
+        n_rule, failed = lambda eps: math.ceil(4 / eps), {4}
     elif case == "free":  # both routes in one scan: N = 2 < M and N |Im z| = 10 are swept
         p, ladder = make_family("free", 1), [5.0, 1.0, 0.3, 0.1, 0.03]
         n_rule = lambda eps: math.ceil((10 if eps > 0.5 else 50) / eps)
     elif case == "constant_a5":  # N |Im z| = 50 is below the gate's 20 ||A|| = 100: swept
         p, grid = make_family("constant", 1, A=[[5.0]], B=[[0.0]]), np.linspace(-12, 12, 9)
+    elif case == "zero_rung":  # N = 0 fails the second rung's check, and only that rung
+        p = make_family("diagonal", 2, components=_README)
+        n_rule, failed = lambda eps: 0 if eps == 0.03 else default_n_rule(eps), {1}
+    elif case == "periodic_bad_block":  # B_2 is not Hermitian: N = 1 and 2 read only B_0, B_1
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        p = make_family("periodic_modulated", 2, A_period=[eye] * 3,
+                        B_period=[zero, zero, np.triu(np.ones((2, 2)), 1)])
+        grid, ladder, failed = np.linspace(-1, 1, 3), [50.0, 30.0, 1.0], {2}
+    elif case == "sing_candidate":  # B_0 = 5I: an eigenvalue at 5.2, tr Im W 19.2 to 1920
+        p = JacobiParams(2, lambda n: (np.eye(2), 5.0 * np.eye(2) if n == 0 else np.zeros((2, 2))))
+        grid, ladder = np.array([5.2]), [0.1, 0.03, 0.01, 0.003, 0.001]
+        n_rule = lambda eps: math.ceil(5 / eps)
+    elif case == "undecided_a20":  # N(eps) is short for a = 20: W does not contract
+        p, grid = make_family("constant", 1, A=[[20.0]], B=[[0.0]]), np.array([0.0, 10.0])
+    elif case == "outside_rank_0":  # tr Im W 1.03e-8, then 9.28e-9: no vanishing, no rank
+        p, grid, ladder = make_family("free", 1), np.array([10.0]), [1e-6, 9e-7]
+        n_rule = lambda eps: 50
     else:
         p = make_family("diagonal", 2, components=_README)
     z_ladder = np.array(ladder)[:, None] * 1j + grid
-    routes = {bool(x) for r, eps in enumerate(ladder) if not failed
+    routes = {bool(x) for r, eps in enumerate(ladder) if r not in failed
               for x in bjweyl.weyl._doubles(p, z_ladder[r], n_rule(eps))}
     assert routes == {"free": {True, False}, "constant_a5": {False},
                       "readme_diagonal": {True}}.get(case, routes)
@@ -315,14 +338,29 @@ def test_boundary_scan_equals_one_schur_call_per_sample(rng, monkeypatch, case):
     assert all(_same(x, y) for g, r in zip(got, rows) for x, y in zip(g, r))
     assert [c.keys() for c in scan.classification] == [c.keys() for c in classification]
     assert all(_same(c[k], e[k]) for c, e in zip(scan.classification, classification) for k in c)
-    assert np.shape(calls[0]) == (len(ladder), len(grid))  # one call for the whole grid
-    if not failed:
-        assert len(calls) == 1 and not any(r[4] for r in rows)
-    else:  # then one call per rung, and one per lambda on each failed rung
-        assert any(r[4] for r in rows)
-        shapes = [np.shape(z) for z in calls[1:]]
-        assert len(calls) == 1 + len(ladder) + failed * len(grid)
-        assert shapes.count(grid.shape) == len(ladder) and shapes.count(()) == failed * len(grid)
+    # one call, over the rungs that passed their check; only the failed rungs have errors
+    assert [np.shape(z) for z in calls] == [(len(ladder) - len(failed), len(grid))]
+    assert {k % len(ladder) for k, r in enumerate(rows) if r[4]} == failed
+    if case in _LABELS:
+        assert [c["label"] for c in classification] == _LABELS[case]
+
+
+def test_a_failed_schur_call_is_every_called_point_s_error(monkeypatch):
+    message = "singular Schur pivot at block 3: z too close to the section spectrum"
+    calls = []
+
+    def singular(p, z, N):
+        calls.append(np.shape(z))
+        raise np.linalg.LinAlgError(message)
+
+    monkeypatch.setattr(bjweyl.weyl, "_schur", singular)
+    scan = boundary_scan(make_family("free", 1), [-1.0, 0.0, 1.0], [0.5, 0.2, 0.1],
+                         n_rule=lambda eps: 0 if eps == 0.2 else 10)
+    assert calls == [(2, 3)]  # rungs 0 and 2; rung 1 failed its own check
+    assert [r["error"] for r in scan.rows] == [message, "N must be >= 1", message] * 3
+    assert all(r["W"] is None and math.isnan(r["tr_im"]) for r in scan.rows)
+    assert scan.classification == [{"label": "undecided", "rank": None, "density": None,
+                                     "error": message}] * 3
 
 
 def test_library_scan_past_the_cap_names_it_without_a_numpy_warning():
