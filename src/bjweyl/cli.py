@@ -23,9 +23,9 @@ from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, JacobiParams, _finite, make_f
                         validate_params)
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
-from .solutions import compute_PQ
+from .solutions import _check_bad, _first_bad, _pq_start, _steps, compute_PQ
 from .subordinacy import DEFAULT_COND_CAP, ROW_ERRORS, _value, jl_function, nonsub_diagnostic
-from .transfer import lo_residual, omega_identity_residual, transfer_nstep, transfer_step
+from .transfer import _lo_defects, _nstep, _omega_residual, _step, transfer_step
 from .weyl import (DEFAULT_N_RULE_C, _check_ladder, _check_section, boundary_scan,
                    default_n_rule, weyl_resolvent, weyl_schur)
 
@@ -261,16 +261,24 @@ def _cmd_polys(cfg: RunConfig):
 
 
 def _cmd_transfer_check(cfg: RunConfig):
+    """Rows off one chain of R_k and one P/Q walk at (z, conj z), a step of each per row."""
     p = cfg.params()
     fields = ["k", "omega_residual", "rinv_residual", "tinv_residual",
               "lo_r1", "lo_r2", "error"]
     rows = []
-    eye = np.eye(2 * p.d)
+    eye, zz = np.eye(2 * p.d), np.array([cfg.z, np.conj(cfg.z)])
+    # R_k, P/Q at k - 1 and k, and each P/Q series' first non-finite index, after row k
+    r, pq, bad = None, _pq_start(p.d, (2,)), np.full((2, 2), np.inf)
     for k in range(1, cfg.k_max + 1):
         row = {"k": str(k)}
         with _row_errors(row):
-            row["omega_residual"] = _num(omega_identity_residual(p, cfg.z, k))
-            nstep = transfer_nstep(p, cfg.z, k)
+            # a step raises only for the blocks up to k - 1, and then in every later row too
+            with np.errstate(over="ignore", invalid="ignore"):  # checked by each formula
+                t, pq = _step(p, zz, k - 1), _steps(p, zz, *pq, k - 1, k)[1:]
+                r = t if r is None else t @ r
+            bad = np.minimum(bad, _first_bad(pq[1:], k, 2))
+            row["omega_residual"] = _num(_omega_residual(p, *r, k))
+            nstep = _nstep(p, *r, k)
             with np.errstate(over="ignore", invalid="ignore"):  # an infinite scale is max(1, inf)
                 scale = max(1.0, np.linalg.norm(nstep["R"], 2)
                             * np.linalg.norm(nstep["R_inv"], 2))
@@ -280,7 +288,8 @@ def _cmd_transfer_check(cfg: RunConfig):
             with np.errstate(over="ignore", invalid="ignore"):
                 tt = _finite(step["T"] @ step["T_inv"], f"T_k-1 T_k-1^-1 at k={k}")
             row["tinv_residual"] = _num(np.linalg.norm(tt - eye, 2))
-            lo = lo_residual(p, cfg.z, k)
+            _check_bad(bad.T)  # as lo_residual's walk to k names an overflow
+            lo = _lo_defects(p, k, pq[1], pq[0])
             row["lo_r1"] = _num(lo["r1"])
             row["lo_r2"] = _num(lo["r2"])
         rows.append(row)

@@ -82,12 +82,33 @@ def _steps(p: JacobiParams, z, c_prev: np.ndarray, c_cur: np.ndarray,
     return out
 
 
-def _checked(terms: np.ndarray, first_n: int) -> np.ndarray:
-    """terms of a walk from index first_n - 1, or a ValueError naming the first index
-    whose term is not finite."""
-    bad = np.flatnonzero(~np.isfinite(terms.reshape(len(terms), -1)).all(axis=1))
-    if len(bad):
-        raise ValueError(f"recurrence overflows: term at n={first_n - 1 + bad[0]} is not finite")
+def _first_bad(terms: np.ndarray, first_index: int, series_ndim: int = 0) -> np.ndarray:
+    """Per series of a walk's terms (n, *series, *term) from first_index: the index of its
+    first non-finite term, or inf."""
+    ok = np.isfinite(terms).reshape(*terms.shape[:1 + series_ndim], -1).all(axis=-1)
+    index = np.arange(first_index, first_index + len(terms)).reshape(-1, *[1] * series_ndim)
+    return np.where(ok, np.inf, index).min(axis=0)
+
+
+def _check_bad(first_bad: np.ndarray) -> None:
+    """A ValueError naming the first non-finite term of the first series that has one."""
+    for n in np.ravel(first_bad):
+        if n < np.inf:
+            raise ValueError(f"recurrence overflows: term at n={int(n)} is not finite")
+
+
+def _pq_start(d: int, shape: tuple = ()) -> np.ndarray:
+    """P and Q at indices -1 and 0, (0, I) and (I, 0): (2 terms, P/Q, *shape, d, d)."""
+    start = np.zeros((2, 2, *shape, d, d), dtype=complex)
+    start[0, 1] = start[1, 0] = np.eye(d)
+    return start
+
+
+def _pq_pair(p: JacobiParams, z: complex, n_max: int) -> np.ndarray:
+    """P and Q at (z, conj z) to n_max in one walk, (n, P/Q, z/conj z, d, d) from index -1;
+    an overflow is named as by two ``compute_PQ`` calls: P(z), Q(z), P(conj z), Q(conj z)."""
+    terms = _steps(p, np.array([z, np.conj(z)]), *_pq_start(p.d, (2,)), 0, n_max)
+    _check_bad(_first_bad(terms, -1, 2).T)
     return terms
 
 
@@ -108,7 +129,8 @@ def solve_forward(p: JacobiParams, z: complex, init, mode: str = "from01",
     if mode not in ("from01", "from_minus1"):
         raise ValueError(f"unknown mode {mode!r}")
     start = 0 if mode == "from01" else -1
-    arr = _checked(_steps(p, z, c_a, c_b, start + 1, n_max), start + 1)
+    arr = _steps(p, z, c_a, c_b, start + 1, n_max)
+    _check_bad(_first_bad(arr, start))
     if matrix:
         return MgevSolution(z, BlockMatSeq(arr, start=start))
     return GevSolution(z, BlockVecSeq(arr, start=start))
@@ -134,9 +156,9 @@ def compute_PQ(p: JacobiParams, z, n_max: int) -> PolyPair:
         raise ValueError(f"compute_PQ takes one z, got an array of shape {np.shape(z)}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    eye, zero = np.eye(p.d, dtype=complex), np.zeros((p.d, p.d), dtype=complex)
-    terms = _steps(p, z, np.stack([zero, eye]), np.stack([eye, zero]), 0, n_max)  # (n, P/Q, ...)
-    return PolyPair(z, *(BlockMatSeq(_checked(terms[:, i], 0), start=-1) for i in (0, 1)), n_max)
+    terms = _steps(p, z, *_pq_start(p.d), 0, n_max)  # (n, P/Q, d, d)
+    _check_bad(_first_bad(terms, -1, 1))
+    return PolyPair(z, *(BlockMatSeq(terms[:, i], start=-1) for i in (0, 1)), n_max)
 
 
 def decompose(u: MgevSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -161,14 +183,13 @@ def solve_nonhomogeneous(p: JacobiParams, z: complex, F: BlockMatSeq, n_max: int
         raise ValueError("n_max must be >= 1")
     if F.start != 0:
         raise ValueError("F must start at index 0")
-    pq_z = compute_PQ(p, z, n_max)
-    pq_zb = compute_PQ(p, np.conj(z), n_max)
+    pq = _pq_pair(p, z, n_max)  # (n, P/Q, z/conj z, d, d)
     f = np.zeros((n_max, p.d, p.d), dtype=complex)  # F_0..F_{n_max-1}, zero past F's end
     f[:len(F.terms)] = F.terms[:n_max]
-    c, dq = (np.cumsum(x.terms[1:-1].conj().transpose(0, 2, 1) @ f, axis=0)
-             for x in (pq_zb.P, pq_zb.Q))  # C_1..C_{n_max}, D_1..D_{n_max}
+    c, dq = (np.cumsum(pq[1:-1, i, 1].conj().transpose(0, 2, 1) @ f, axis=0)
+             for i in (0, 1))  # C_1..C_{n_max}, D_1..D_{n_max}
     out = np.zeros((n_max + 2, p.d, p.d), dtype=complex)  # indices -1..n_max
-    out[2:] = pq_z.Q.terms[2:] @ c - pq_z.P.terms[2:] @ dq
+    out[2:] = pq[2:, 1, 0] @ c - pq[2:, 0, 0] @ dq
     return BlockMatSeq(out, start=-1)
 
 

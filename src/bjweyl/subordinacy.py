@@ -17,7 +17,7 @@ import numpy as np
 
 from .blockcore import HORIZON_CAP, NUMERICAL_ERRORS, JacobiParams, _finite
 from .seminorms import SeminormKind, _check_kind, squared_terms
-from .solutions import _steps
+from .solutions import _pq_start, _steps
 from .transfer import _chain
 
 __all__ = [
@@ -74,8 +74,7 @@ def _pq_sq_nodes(p: JacobiParams, lams: np.ndarray, horizon: int, kind: Seminorm
     _check_kind(kind, vectors=False)
     out = [[None] * len(targets) for _ in lams]  # per lam and T: a segment or an exception
     live, last = np.arange(len(lams)), np.zeros((2, len(lams)))  # the last node reached
-    eye = np.eye(p.d, dtype=complex) * np.ones((len(lams), 1, 1))
-    walk = np.array([[0 * eye, eye], [eye, 0 * eye]])  # (P, Q) at n = -1, 0: a one-node walk
+    walk = _pq_start(p.d, (len(lams),))  # (P, Q) at n = -1, 0: a one-node walk
     first, end = -1, 0  # the last end - first terms of walk, at first + 1..end, are new
     while True:
         chunk = walk[first - end:]  # the terms not summed yet, (step, P/Q, lam, d, d)

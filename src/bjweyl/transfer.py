@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from .blockcore import JacobiParams, _finite, scaled_eye
-from .solutions import _a_prev_adj, compute_PQ
+from .solutions import _a_prev_adj, _pq_pair
 
 __all__ = [
     "transfer_step",
@@ -52,6 +52,14 @@ def _chain(p: JacobiParams, z, n: int):
         yield r
 
 
+def _chain_pair(p: JacobiParams, z: complex, n: int) -> np.ndarray:
+    """R_n at (z, conj z), the last products of one chain, unchecked; n >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers check
+        return deque(_chain(p, np.array([z, np.conj(z)]), n), maxlen=1)[0]
+
+
 def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
     """T_n(z) and its closed-form inverse.
 
@@ -67,21 +75,32 @@ def transfer_step(p: JacobiParams, z: complex, n: int) -> dict:
     return {"T": _step(p, z, n), "T_inv": t_inv}
 
 
-def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
-    """The n-step product R_n(z) = T_{n-1} ... T_0 and its structured inverse.
-
-    The inverse is the closed form in terms of R_n(conj z), from one chain at (z, conj z):
-
-        R_n(z)^{-1} = [[0, I], [-I, 0]] R_n(conj z)* [[0, A_{n-1}], [-A_{n-1}*, 0]].
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _nstep(p: JacobiParams, r: np.ndarray, rb: np.ndarray, n: int) -> dict:
+    """R_n(z) = r and, from R_n(conj z) = rb, its inverse, both checked:
+    R_n(z)^{-1} = [[0, I], [-I, 0]] R_n(conj z)* [[0, A_{n-1}], [-A_{n-1}*, 0]]."""
     a_last = p.A(n - 1)
     right = np.block([[np.zeros_like(a_last), a_last], [-a_last.conj().T, np.zeros_like(a_last)]])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        r, rb = deque(_chain(p, np.array([z, np.conj(z)]), n), maxlen=1)[0]  # the last R_n
         r_inv = _omega(p.d) @ rb.conj().T @ right
     return {"R": _finite(r, f"R_n at n={n}"), "R_inv": _finite(r_inv, f"R_n^-1 at n={n}")}
+
+
+def transfer_nstep(p: JacobiParams, z: complex, n: int) -> dict:
+    """The n-step product R_n(z) = T_{n-1} ... T_0 and its structured inverse, the
+    closed form in R_n(conj z) (``_nstep``), from one chain at (z, conj z)."""
+    return _nstep(p, *_chain_pair(p, z, n), n)
+
+
+def _omega_residual(p: JacobiParams, r: np.ndarray, rb: np.ndarray, n: int) -> float:
+    """``omega_identity_residual`` from R_n at z (r) and at conj z (rb)."""
+    d, omega = p.d, _omega(p.d)
+    a_last_adj, k_first_inv = p.A(n - 1).conj().T, np.repeat([-1.0, 1.0], d)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rt, rtb = (np.vstack([a_last_adj @ m[:d], m[d:]]) * k_first_inv for m in (r, rb))
+        s = _finite(rtb.conj().T @ omega @ rt, f"R~(conj z)* Omega R~(z) at n={n}")
+        # an overflow of the scale to inf gives the same scale, max(1, inf)
+        scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
+    return float(np.linalg.norm(omega - s, 2) / scale)
 
 
 def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
@@ -92,17 +111,26 @@ def omega_identity_residual(p: JacobiParams, z: complex, n: int) -> float:
     Returns ||Omega - R~(conj z)* Omega R~(z)|| scaled by max(1, ||R~(conj z)|| ||R~(z)||);
     the factors grow exponentially in n, so the raw defect is meaningless.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d, omega = p.d, _omega(p.d)
-    a_last_adj, k_first_inv = p.A(n - 1).conj().T, np.repeat([-1.0, 1.0], d)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        r, rb = deque(_chain(p, np.array([z, np.conj(z)]), n), maxlen=1)[0]  # the last R_n
-        rt, rtb = (np.vstack([a_last_adj @ m[:d], m[d:]]) * k_first_inv for m in (r, rb))
-        s = _finite(rtb.conj().T @ omega @ rt, f"R~(conj z)* Omega R~(z) at n={n}")
-        # an overflow of the scale to inf gives the same scale, max(1, inf)
-        scale = max(1.0, float(np.linalg.norm(rtb, 2) * np.linalg.norm(rt, 2)))
-    return float(np.linalg.norm(omega - s, 2) / scale)
+    return _omega_residual(p, *_chain_pair(p, z, n), n)
+
+
+def _lo_defects(p: JacobiParams, k: int, now: np.ndarray, before: np.ndarray) -> dict:
+    """``lo_residual`` from the P/Q pair-walk terms at k (now) and k - 1 (before), each
+    (P/Q, w/conj w, d, d)."""
+    (pk, _), (qk, _) = now
+
+    def norm(m):
+        return float(np.linalg.norm(m, 2))
+
+    def defect(terms: np.ndarray, target: np.ndarray, name: str) -> float:
+        (_, pj), (_, qj) = terms
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            m = _finite(qk @ pj.conj().T - pk @ qj.conj().T - target, f"the {name} defect at k={k}")
+        return norm(m) / max(1.0, norm(qk) * norm(pj), norm(pk) * norm(qj), norm(target))
+
+    # r1 first: its overflow is the one raised when both overflow
+    return {"r1": defect(now, np.zeros_like(qk), "r1"),
+            "r2": defect(before, np.linalg.inv(p.A(k - 1)), "r2") if k >= 1 else float("nan")}
 
 
 def lo_residual(p: JacobiParams, w: complex, k: int) -> dict:
@@ -111,25 +139,9 @@ def lo_residual(p: JacobiParams, w: complex, k: int) -> dict:
     r1: || Q_k(w) P_k(conj w)* - P_k(w) Q_k(conj w)* ||, k >= 0;
     r2: || Q_k(w) P_{k-1}(conj w)* - P_k(w) Q_{k-1}(conj w)* - A_{k-1}^{-1} ||, k >= 1;
     both scaled by max(1, product of the factor norms) since P and Q grow
-    exponentially in k.
+    exponentially in k.  P and Q come from one walk at (w, conj w) to max(k, 1).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    n_eval = max(k, 1)
-    pq_w = compute_PQ(p, w, n_eval)
-    pq_wb = compute_PQ(p, np.conj(w), n_eval)
-
-    def norm(m):
-        return float(np.linalg.norm(m, 2))
-
-    qk, pk = pq_w.Q.term(k), pq_w.P.term(k)
-
-    def defect(j: int, target: np.ndarray, name: str) -> float:
-        pj, qj = pq_wb.P.term(j), pq_wb.Q.term(j)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            m = _finite(qk @ pj.conj().T - pk @ qj.conj().T - target, f"the {name} defect at k={k}")
-        return norm(m) / max(1.0, norm(qk) * norm(pj), norm(pk) * norm(qj), norm(target))
-
-    # r1 first: its overflow is the one raised when both overflow
-    return {"r1": defect(k, np.zeros_like(qk), "r1"),
-            "r2": defect(k - 1, np.linalg.inv(p.A(k - 1)), "r2") if k >= 1 else float("nan")}
+    pq = _pq_pair(p, w, max(k, 1))  # from index -1
+    return _lo_defects(p, k, pq[k + 1], pq[k])

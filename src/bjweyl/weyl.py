@@ -148,7 +148,8 @@ def weyl_schur(p: JacobiParams, z, N) -> WeylSample:
     bit-identical to the call at its own (z, N) alone.  The call makes one
     sweep, over the largest N, for every z (a doubled z is swept over its
     N mod M remainder), and one doubling for the doubled z.  N above
-    HORIZON_CAP anywhere raises before any block is read, and so does N < 1.
+    HORIZON_CAP anywhere raises before any block is read, and so does N < 1
+    or a non-integer N.
     A singular pivot or doubling solve at any z raises, and so does a
     non-finite W at any z (ArithmeticError: the sweep overflowed, or z was not
     finite), with no numpy warning.
@@ -161,10 +162,12 @@ def weyl_schur(p: JacobiParams, z, N) -> WeylSample:
 
 
 def _check_n(N) -> None:
-    """ValueError unless every block count in N (an int or an array) is in
-    1..HORIZON_CAP: the checks ``_schur`` makes before any block is read."""
-    check_cap(int(np.max(N, initial=1)))
-    if np.min(N, initial=1) < 1:
+    """ValueError unless N is an int or an integer array (a float is not cast) of block
+    counts in 1..HORIZON_CAP: the checks ``_schur`` makes before any block is read."""
+    if (n := np.asarray(N)).dtype.kind not in "iu":
+        raise ValueError(f"N must be an integer, got {n.tolist()!r}")
+    check_cap(int(np.max(n, initial=1)))
+    if np.min(n, initial=1) < 1:
         raise ValueError("N must be >= 1")
 
 
@@ -174,8 +177,8 @@ def _schur(p: JacobiParams, z, N) -> tuple:
     ``boundary_scan``, which calls this, records it per point.  The scan reads
     W only, and perfbench's tracer records a ``weyl_schur`` call's N as one
     number, which a scan's N per rung is not."""
+    _check_n(N)
     zb, nb = np.broadcast_arrays(z, N)
-    _check_n(nb)
     zi, fast = scaled_eye(zb, p.d), _doubles(p, zb, nb)
     zf, n, fast = zi.reshape(-1, p.d, p.d), nb.ravel(), fast.ravel()
     length = n.copy()  # of each z's sweep: a doubled z is swept over N mod M
@@ -442,7 +445,7 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
                   n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
-    Each rung is checked on its own first: its N = n_rule(eps), N against
+    Each rung is checked on its own first: its N = n_rule(eps), N an integer in
     1..HORIZON_CAP and the blocks its sweep reads (of a family with a period,
     the first period).  Then one ``_schur`` call (``weyl_schur``'s W stack),
     one N per rung, gives W on the grid of the rungs that passed; a (lambda,

@@ -106,6 +106,30 @@ def test_nonhomogeneous_closed_form_vs_recursion(rng):
         assert np.linalg.norm(closed.term(n) - direct[n + 1]) / scale < 1e-10
 
 
+def _solve_nonhomogeneous_two_walks(p, z, F, n_max):
+    """solve_nonhomogeneous with P/Q from two compute_PQ walks, at z and at conj z."""
+    pq_z, pq_zb = compute_PQ(p, z, n_max), compute_PQ(p, np.conj(z), n_max)
+    f = np.zeros((n_max, p.d, p.d), dtype=complex)
+    f[:len(F.terms)] = F.terms[:n_max]
+    c, dq = (np.cumsum(x.terms[1:-1].conj().transpose(0, 2, 1) @ f, axis=0)
+             for x in (pq_zb.P, pq_zb.Q))
+    out = np.zeros((n_max + 2, p.d, p.d), dtype=complex)
+    out[2:] = pq_z.Q.terms[2:] @ c - pq_z.P.terms[2:] @ dq
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nonhomogeneous_pair_walk_is_the_two_walk_form(d):
+    rng = np.random.default_rng(2400 + d)
+    p = random_bounded_params(rng, d, n_blocks=40)
+    for z in (0.2 + 0.8j, -1.1, 0.4 - 0.3j):
+        for n_max, length in ((1, 1), (7, 3), (39, 45)):
+            F = BlockMatSeq(rng.standard_normal((length, d, d))
+                            + 1j * rng.standard_normal((length, d, d)))
+            assert np.array_equal(solve_nonhomogeneous(p, z, F, n_max).terms,
+                                  _solve_nonhomogeneous_two_walks(p, z, F, n_max))
+
+
 def test_columns_as_gev_check(rng):
     p = random_bounded_params(rng, 2)
     z = 1.0 + 1.0j

@@ -184,3 +184,22 @@ def test_lo_residual_matches_the_two_block_form():
         assert list(got) == ["r1", "r2"]
         assert got["r1"] == want["r1"], (d, w, k)
         assert got["r2"] == want["r2"] or (k == 0 and math.isnan(got["r2"])), (d, w, k)
+
+
+@pytest.mark.parametrize("family, w, k", [
+    (make_family("free", 2), 30.0 + 5.0j, 260),
+    # B_0 = w makes P_1(w) = 0: Q(w) overflows at n = 87, before P(w) at n = 90
+    (make_family("periodic_modulated", 1, A_period=[[[1.0]]],
+                 B_period=[[[1e10]], [[0.0]], [[0.0]]]), 1e10, 88),
+    (make_family("periodic_modulated", 1, A_period=[[[1.0]]],
+                 B_period=[[[1e10]], [[0.0]], [[0.0]]]), 1e10, 95),
+])
+def test_lo_residual_names_an_overflow_as_two_compute_pq_walks(family, w, k):
+    # the walk at (w, conj w) names the first of P(w), Q(w), P(conj w), Q(conj w) to overflow
+    with pytest.raises(ValueError) as want:
+        compute_PQ(family, w, k)
+        compute_PQ(family, np.conj(w), k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            lo_residual(family, w, k)

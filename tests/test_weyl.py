@@ -495,3 +495,30 @@ def test_weyl_solution_names_im_z_when_the_pad_passes_the_cap():
     with pytest.raises(ValueError, match=rf"^Im z = 1e-05 needs a section above the cap of "
                                          rf"{HORIZON_CAP} blocks$"):
         weyl_solution(p, 0.3 + 1e-5j, np.eye(1), 40)
+
+
+@pytest.mark.parametrize("family", [
+    make_family("free", 1),
+    make_family("explicit", 1, A=[[[1.0]]] * 400, B=[[[0.0]]] * 400),
+])
+def test_a_non_integer_n_from_the_rule_is_its_rung_s_error(family):
+    # 5 / 0.03 = 166.67 blocks: neither truncated to 166 nor a bare TypeError
+    ladder = [0.1, 0.05, 0.03]
+    scan = boundary_scan(family, [-0.5, 0.5], ladder,
+                         n_rule=lambda eps: 5 / eps if eps < 0.04 else int(5 / eps))
+    want = boundary_scan(family, [-0.5, 0.5], ladder[:2], n_rule=lambda eps: int(5 / eps))
+    message = f"N must be an integer, got {5 / 0.03!r}"
+    assert [r["error"] for r in scan.rows] == ["", "", message] * 2
+    for got, row in zip([r for r in scan.rows if not r["error"]], want.rows):
+        assert np.array_equal(got["W"], row["W"])
+    assert scan.classification == [{"label": "undecided", "rank": None, "density": None,
+                                     "error": message}] * 2
+
+
+def test_weyl_schur_rejects_a_non_integer_n():
+    p = make_family("free", 1)
+    with pytest.raises(ValueError, match=r"^N must be an integer, got 50\.5$"):
+        weyl_schur(p, 0.1j, 50.5)
+    with pytest.raises(ValueError, match=r"^N must be an integer, got \[5\.0, 6\.0\]$"):
+        weyl_schur(p, np.array([0.1j, 1j]), np.array([5.0, 6.0]))
+    assert p._n == 0  # raised before any block was read
