@@ -221,12 +221,10 @@ def _num(x) -> str:
     return format(float(x), ".17g")
 
 
-def _mat_cols(tag: str, d: int) -> list[str]:
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            cols += [f"re_{tag}_{i}_{j}", f"im_{tag}_{i}_{j}"]
-    return cols
+@functools.cache  # built once per (tag, d), not once per row
+def _mat_cols(tag: str, d: int) -> tuple[str, ...]:
+    return tuple(f"{part}_{tag}_{i}_{j}" for i in range(d) for j in range(d)
+                 for part in ("re", "im"))
 
 
 def _mat_vals(row: dict, tag: str, m) -> None:
@@ -250,7 +248,7 @@ def _cmd_validate(cfg: RunConfig):
 def _cmd_polys(cfg: RunConfig):
     p = cfg.params()
     pq = compute_PQ(p, cfg.z, cfg.n_max)
-    fields = ["n"] + _mat_cols("P", p.d) + _mat_cols("Q", p.d)
+    fields = ["n", *_mat_cols("P", p.d), *_mat_cols("Q", p.d)]
     rows = []
     for n in range(-1, cfg.n_max + 1):
         row = {"n": str(n)}
@@ -298,8 +296,8 @@ def _cmd_transfer_check(cfg: RunConfig):
 
 def _cmd_weyl(cfg: RunConfig):
     p = cfg.params()
-    fields = (["re_z", "im_z", "N", "route_diff", "herglotz_min_eig"]
-              + _mat_cols("W", p.d) + ["error"])
+    fields = ["re_z", "im_z", "N", "route_diff", "herglotz_min_eig", *_mat_cols("W", p.d),
+              "error"]
     row = {"re_z": _num(cfg.z.real), "im_z": _num(cfg.z.imag), "N": str(cfg.N)}
     with _row_errors(row):
         schur = weyl_schur(p, cfg.z, cfg.N)
@@ -318,8 +316,7 @@ def _scan(cfg: RunConfig, p: JacobiParams):
 def _cmd_weyl_scan(cfg: RunConfig):
     p = cfg.params()
     scan = _scan(cfg, p)
-    fields = (["lambda", "eps", "tr_im"] + _mat_cols("W", p.d)
-              + ["label", "rank", "error"])
+    fields = ["lambda", "eps", "tr_im", *_mat_cols("W", p.d), "label", "rank", "error"]
     rows = []
     for r in scan.rows:
         row = {"lambda": _num(r["lambda"]), "eps": _num(r["eps"]), "error": r["error"]}
@@ -337,7 +334,7 @@ def _cmd_weyl_scan(cfg: RunConfig):
 def _cmd_measure(cfg: RunConfig):
     p = cfg.params()
     m = quadrature_measure(p, cfg.N)
-    fields = ["lambda"] + _mat_cols("w", p.d)
+    fields = ["lambda", *_mat_cols("w", p.d)]
     rows = []
     for lam, w in m.atoms:
         row = {"lambda": _num(lam)}

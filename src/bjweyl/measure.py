@@ -2,7 +2,10 @@
 Cauchy transforms and decomposition against a discrete reference.
 
 A section's quadrature needs only the first d rows of its eigenvectors;
-``quadrature_measure`` forms those rows alone, from one tridiagonal reduction.
+``quadrature_measure`` forms those rows alone, from the section's band: one
+bidiagonal reduction (LAPACK zgbbrd) that carries only those rows, then a
+divide-and-conquer bidiagonal SVD (dbdsdc).  Both come from
+scipy.linalg.cython_lapack through ctypes.
 
 Only atomic measures are stored.  Atoms carry positive-semidefinite d x d
 weights, are kept sorted by location, and locations within
@@ -12,12 +15,13 @@ jitter would otherwise split multiplicities).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blockcore import JacobiParams
-from .weyl import finite_section
+from .weyl import _banded_shifted, _check_section
 
 __all__ = [
     "DiscreteMatrixMeasure",
@@ -105,46 +109,84 @@ def _lapack_ok(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} returned info = {info}")
 
 
+@functools.cache
+def _lapack_routine(name: str, nargs: int):
+    """The LAPACK routine ``name`` that scipy.linalg.cython_lapack exports, as a
+    ctypes function of ``nargs`` addresses (Fortran passes every argument by
+    reference)."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    # own prototypes: setting restype on ctypes.pythonapi's would change them for every caller
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+def _lapack(name: str, *args) -> int:
+    """Call LAPACK's ``name`` and return its ``info``, the trailing argument it
+    appends.  An array is passed as its buffer (2-D ones in Fortran order), an
+    int as a C int and bytes as a character."""
+    import ctypes
+
+    if any(isinstance(a, np.ndarray) and not a.flags.f_contiguous for a in args):
+        raise ValueError(f"{name}: every array must be in Fortran order")
+    info = ctypes.c_int(0)
+    # every buffer stays referenced here until the call returns
+    held = [a if isinstance(a, np.ndarray) else
+            ctypes.create_string_buffer(a) if isinstance(a, bytes) else ctypes.c_int(a)
+            for a in args] + [info]
+    _lapack_routine(name, len(held))(
+        *(a.ctypes.data if isinstance(a, np.ndarray) else ctypes.addressof(a) for a in held))
+    return info.value
+
+
 def quadrature_measure(p: JacobiParams, N: int) -> DiscreteMatrixMeasure:
     """Atomic spectral approximation from the N-block section.
 
     Atoms sit at section eigenvalues; the weight is the outer product of the
     first d-block of the unit eigenvector.  Total mass is the identity.
 
-    Only those d rows of the eigenvectors are formed (Golub-Welsch): H is
-    reduced once to a real tridiagonal T (zhetrd), T's eigenpairs come from
-    MRRR (stemr; stebz if MRRR fails), and H's reflectors are applied to the
-    first d unit vectors alone.  Still O((N d)^3), but with no (N d)^2
-    eigenvector matrix; the atoms agree with a dense ``eigh`` of H to about
-    1e-14 in location (relative) and 1e-13 in weight.
+    Only those d rows of the eigenvectors are formed (Golub-Welsch), and the
+    section is never dense.  Its band (2d - 1 off-diagonals on each side) is
+    shifted to M = H + sigma I with sigma = ||H||_inf, so M is PSD: its
+    singular values are the eigenvalues plus sigma, and its left singular
+    vectors are H's eigenvectors.  zgbbrd reduces M to a real bidiagonal
+    B = Q* M P, applying Q* to the first d unit vectors E alone, in
+    O((N d)^2 d); dbdsdc (divide and conquer) gives B = U S V^T, and the
+    first d-blocks are the rows of conj(U^T Q* E).  The atoms agree with a
+    dense ``eigh`` of H to 1e-13 * max(1, |lambda|) in location and to
+    1e-12 + eps ||H|| / gap in weight, the gap being the distance to the
+    nearest other eigenvalue; a near-degenerate pair's summed weight agrees
+    to 1e-12.
     """
-    h = finite_section(p, N).H  # first: it checks the section cap before anything is allocated
-    # imported here: loading scipy.linalg costs more than most commands
-    from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
-
-    d, n = p.d, len(h)
-    work, info = lapack.zhetrd_lwork(n, lower=1)
-    _lapack_ok(info, "zhetrd_lwork")
-    # H is Hermitian, so its C-ordered buffer is conj(H) in Fortran order, and
-    # LAPACK reduces it in place with no copy: conj(H) = Q T Q*.  The d rows of
-    # the eigenvectors of H = conj(Q) T Q^T are then v_k^T Q* E, E the first d
-    # unit vectors.
-    c, diag, off, tau, info = lapack.zhetrd(h.T, lower=1, lwork=int(work.real), overwrite_a=1)
-    _lapack_ok(info, "zhetrd")
-    x = np.eye(n, d, dtype=complex)
-    if n > 1:  # Q is I on row and column 0; its n - 1 reflectors sit below the subdiagonal
-        # lwork = d: the unblocked path, the faster one for d columns
-        x[1:], _, info = lapack.zunmqr("L", "C", c[1:, :-1], tau, x[1:], d)
-        _lapack_ok(info, "zunmqr")
-    del h, c  # one buffer, the section's; free it before T's eigenvectors are allocated
-    try:
-        evals, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
-    except LinAlgError:
-        evals, v = eigh_tridiagonal(diag, off, lapack_driver="stebz")
-    # row k: the first d-block of eigenvector k; two real products, so V is never made complex
-    top = v.T @ x.real + 1j * (v.T @ x.imag)
+    _check_section(N, p.d)  # first: it checks the section cap before anything is allocated
+    d, n, bw = p.d, N * p.d, 2 * p.d - 1
+    # entry (r, c) of H at ab[bw + r - c, c]: LAPACK's band storage with kl = ku = bw
+    ab = _banded_shifted(p, 0, N)
+    sigma = np.abs(ab).sum(axis=0).max()  # the largest column sum of |H|
+    ab[bw] += sigma
+    ab = np.asfortranarray(ab)
+    s, e = np.empty(n), np.empty(max(n - 1, 1))
+    c = np.asfortranarray(np.eye(n, d, dtype=complex))  # E, overwritten by Q* E
+    no_vectors = np.empty(1, dtype=complex)  # Q and P^H, not formed
+    _lapack_ok(_lapack("zgbbrd", b"N", n, n, d, bw, bw, ab, 2 * bw + 1, s, e,
+                       no_vectors, 1, no_vectors, 1, c, n,
+                       np.empty(n, dtype=complex), np.empty(n)), "zgbbrd")
+    u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    _lapack_ok(_lapack("dbdsdc", b"U", b"I", n, s, e, u, n, vt, n,
+                       np.empty(1), np.empty(1, dtype=np.intc),
+                       np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)), "dbdsdc")
+    # row k: the first d-block of eigenvector k, conj(U^T Q* E), by one real product
+    x = u.T @ np.hstack([c.real, c.imag])
+    top = x[:, :d] - 1j * x[:, d:]
     weights = top[:, :, None] * top.conj()[:, None, :]
-    return DiscreteMatrixMeasure.from_pairs(zip(map(float, evals), weights), p.d)
+    return DiscreteMatrixMeasure.from_pairs(zip(map(float, s - sigma), weights), d)
 
 
 def trace_views(m: DiscreteMatrixMeasure) -> TraceDensityView:

@@ -77,10 +77,11 @@ class BoundaryScan:
 
 
 def _check_section(N: int, d: int) -> None:
-    """ValueError unless N >= 1 and the N-block section has at most 2**12 rows:
-    its storage grows as (N d)^2 and its eigensolve as (N d)^3."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    """ValueError unless N passes ``_check_n`` (an integer, a float is not cast,
+    in 1..HORIZON_CAP) and the N-block section has at most 2**12 rows:
+    ``quadrature_measure``'s bidiagonal SVD holds about 5 (N d)^2 doubles, and
+    ``finite_section`` (N d)^2 complex."""
+    _check_n(N)
     if N * d > 2 ** 12:
         raise ValueError(f"a section of {N * d} rows is above the cap of {2 ** 12} rows")
 
@@ -163,7 +164,8 @@ def weyl_schur(p: JacobiParams, z, N) -> WeylSample:
 
 def _check_n(N) -> None:
     """ValueError unless N is an int or an integer array (a float is not cast) of block
-    counts in 1..HORIZON_CAP: the checks ``_schur`` makes before any block is read."""
+    counts in 1..HORIZON_CAP: the checks ``_schur``, the banded solve and the section
+    make before any block is read."""
     if (n := np.asarray(N)).dtype.kind not in "iu":
         raise ValueError(f"N must be an integer, got {n.tolist()!r}")
     check_cap(int(np.max(n, initial=1)))
@@ -324,6 +326,7 @@ def _resolvent_columns(p: JacobiParams, z: complex, N: int) -> np.ndarray:
     """First d columns of (H - zI)^{-1} as an (N, d, d) block stack."""
     import scipy.linalg  # its only user: the import costs more than most commands
 
+    _check_n(N)
     d = p.d
     ab = _banded_shifted(p, z, N)
     rhs = np.zeros((N * d, d), dtype=complex)

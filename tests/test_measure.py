@@ -1,10 +1,12 @@
+import csv
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from bjweyl import measure
 from bjweyl.blockcore import make_family
+from bjweyl.cli import parse_config, run
 from bjweyl.measure import (
     DiscreteMatrixMeasure,
     cauchy_transform,
@@ -222,17 +224,64 @@ def test_degenerate_spectra_merge_like_eigh(p):
         assert len(m.atoms) == N
 
 
-def test_a_failed_mrrr_is_redone_by_bisection(monkeypatch):
-    real, drivers = scipy.linalg.eigh_tridiagonal, []
+@pytest.mark.parametrize("routine", ["zgbbrd", "dbdsdc"])
+def test_a_failed_lapack_call_is_a_named_error_and_a_row_error(monkeypatch, tmp_path, routine):
+    real = measure._lapack
 
-    def mrrr_fails(diag, off, lapack_driver):
-        drivers.append(lapack_driver)
-        if lapack_driver == "stemr":
-            raise np.linalg.LinAlgError("stemr failed")
-        return real(diag, off, lapack_driver=lapack_driver)
+    def fails(name, *args):
+        return -7 if name == routine else real(name, *args)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", mrrr_fails)
-    for p in (random_bounded_params(np.random.default_rng(1310), 3), make_family("free", 2)):
-        drivers.clear()
-        _assert_agrees_with_eigh(quadrature_measure(p, 30), p, 30)
-        assert drivers == ["stemr", "stebz"]
+    monkeypatch.setattr(measure, "_lapack", fails)
+    message = f"LAPACK {routine} returned info = -7"
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+        quadrature_measure(make_family("free", 2), 5)
+    out = tmp_path / "rows.csv"
+    cfg = parse_config({"family": {"name": "free", "d": 2}, "command": "cauchy-check", "N": 8,
+                        "z": [0.0, 1.0], "out": str(out)})
+    assert run(cfg) == 2
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [(r["N"], r["gap"], r["error"]) for r in rows] == [(n, "", message) for n in "248"]
+
+
+def test_the_lapack_helper_takes_only_fortran_ordered_arrays():
+    with pytest.raises(ValueError, match="^dbdsdc: every array must be in Fortran order$"):
+        measure._lapack("dbdsdc", b"U", b"I", 2, np.empty((2, 3)))
+
+
+def _section_family(cycle: int):
+    """The section benchmark's family at seed 0: explicit, d = 3, 300 blocks,
+    drawn block by block as A = U diag(s) V*, B = (G + G*) / 2."""
+    rng, d = np.random.default_rng([0, cycle]), 3
+
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+    a, b = [], []
+    for _ in range(300):
+        a.append(unitary() @ np.diag(rng.uniform(0.5, 2.0, d)) @ unitary().conj().T)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        b.append((g + g.conj().T) / 2)
+    return make_family("explicit", d, A=a, B=b)
+
+
+@pytest.mark.parametrize("cycle", [*range(8), None],
+                         ids=[f"section_cycle{c}" for c in range(8)] + ["free_d1_N900"])
+def test_benchmark_sections_agree_with_eigh_within_their_conditioning(cycle):
+    """Weights are as accurate as the eigenvectors' conditioning eps ||H|| / gap
+    allows; inside a near-degenerate pair only the pair's sum is well defined."""
+    p, N = (make_family("free", 1), 900) if cycle is None else (_section_family(cycle), 300)
+    h = finite_section(p, N).H
+    evals, evecs = np.linalg.eigh(h)
+    top = evecs[:p.d].T
+    m = quadrature_measure(p, N)
+    assert len(m.atoms) == len(evals)  # no eigenvalues close enough to merge
+    x = np.array([lam for lam, _ in m.atoms])
+    w = np.array([wk for _, wk in m.atoms])
+    v = top[:, :, None] * top.conj()[:, None, :]
+    assert np.all(np.abs(x - evals) <= 1e-13 * np.maximum(1.0, np.abs(evals)))
+    gaps = np.diff(np.r_[-np.inf, evals, np.inf])
+    gap = np.minimum(gaps[:-1], gaps[1:])
+    err = np.abs(w - v).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 + np.finfo(float).eps * np.linalg.norm(h, 2) / gap)
+    near = np.flatnonzero(np.diff(evals) < 1e-4)  # pairs (k, k + 1)
+    assert np.all(np.abs((w[near] + w[near + 1]) - (v[near] + v[near + 1])) <= 1e-12)

@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 
@@ -7,6 +8,8 @@ import pytest
 import bjweyl.weyl
 from bjweyl import transfer
 from bjweyl.blockcore import HORIZON_CAP, JacobiParams, ParamsError, make_family
+from bjweyl.cli import RunConfig, run
+from bjweyl.measure import quadrature_measure
 from bjweyl.solutions import columns_as_gev_check, compute_PQ, decompose
 from bjweyl.weyl import (
     RANK_REL,
@@ -522,3 +525,22 @@ def test_weyl_schur_rejects_a_non_integer_n():
     with pytest.raises(ValueError, match=r"^N must be an integer, got \[5\.0, 6\.0\]$"):
         weyl_schur(p, np.array([0.1j, 1j]), np.array([5.0, 6.0]))
     assert p._n == 0  # raised before any block was read
+
+
+def test_the_section_routes_reject_a_non_integer_n(tmp_path):
+    p = make_family("free", 1)
+    for call in (lambda: weyl_resolvent(p, 1j, 50.5), lambda: finite_section(p, 10.5),
+                 lambda: quadrature_measure(p, 10.5)):
+        with pytest.raises(ValueError, match=r"^N must be an integer, got (50|10)\.5$"):
+            call()
+    assert p._n == 0  # raised before any block was read
+    with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+        weyl_resolvent(p, 1j, 0)
+    assert len(quadrature_measure(p, np.int32(3)).atoms) == 3  # a numpy integer is an integer
+    # a library RunConfig is not parsed, so each cauchy-check section is a row error
+    out = tmp_path / "rows.csv"
+    cfg = RunConfig(family={"name": "free", "d": 1}, command="cauchy-check", N=10.5, out=str(out))
+    assert run(cfg) == 2
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [(r["N"], r["error"]) for r in rows] == [
+        (n, f"N must be an integer, got {n}") for n in ("2.0", "5.0", "10.5")]
