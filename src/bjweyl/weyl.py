@@ -3,20 +3,11 @@ scans.
 
 Both routes evaluate the top-left d x d block of the resolvent of the
 N-block finite section: ``weyl_resolvent`` through a banded LU solve of
-(H - zI) X = E, ``weyl_schur`` through the backward block Schur-complement
-recursion.  They agree to rounding at equal N, which the test suite enforces
-as an exact algebraic identity.
-
-``weyl_schur`` itself takes one of two routes per (z, N).  The sweep runs the
-recursion over all N blocks.  On a family with a period L (``p.period``), the
-recursion over M = 4 L blocks is one linear-fractional map, and doubling
-raises it to the power q = N // M in about 2 log2 q compositions (the
-structure-preserving doubling algorithm).  Doubling is taken only where
-N |Im z| >= 20 max ||A_n|| and N >= M, where it stays within 1e-12 relative
-of the sweep (README, Numerical notes); everywhere else, and for every family
-without a period, the sweep is the route.  N may differ from z to z: one call
-makes one sweep and one doubling for all of them, so ``boundary_scan`` gets
-its whole (lambda, eps) grid from one call.
+(H - zI) X = E, ``weyl_schur`` through the backward block Schur sweep, one
+sweep for every z and its own N.  They agree to rounding at equal N, which
+the test suite enforces as an exact algebraic identity.  ``boundary_scan``
+reads the W of the half-line operator on a family with a period
+(``_half_line``, no N), and sweeps one without a period at N = n_rule(eps).
 """
 
 from __future__ import annotations
@@ -47,8 +38,9 @@ __all__ = [
 
 DEFAULT_N_RULE_C = 50.0  # N(eps) = ceil(C/eps) blocks
 RANK_REL = 1e-3  # _decide's rank: singular values of Im W above this share of the largest
-DOUBLING_PERIODS = 4  # the doubled route's base map: the section of M = 4 periods
-DOUBLING_GATE = 20.0  # doubled only where N |Im z| >= DOUBLING_GATE * max ||A_n||
+DOUBLING_PERIODS = 4  # _half_line's base map: the section of M = 4 periods
+HALF_LINE_TOL = 1e-15  # _half_line stops where alpha moved by at most this share of max |alpha|
+HALF_LINE_SQUARINGS = 64  # _half_line's bound; eps = 1e-8 needs 31 squarings
 NOT_FINITE = "W is not finite: the Schur sweep overflowed"
 
 
@@ -132,31 +124,20 @@ def weyl_resolvent(p: JacobiParams, z: complex, N: int) -> WeylSample:
 
 
 def weyl_schur(p: JacobiParams, z, N) -> WeylSample:
-    """W = G_0, the top-left block of the resolvent of the N-block section.
+    """W = G_0, the top-left block of the resolvent of the N-block section, by
+    the backward Schur sweep G_{N-1} = (B_{N-1} - zI)^{-1},
+    G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1}.
 
-    Two routes, the same value to rounding (see README, Numerical notes):
-
-    - the backward Schur sweep, G_{N-1} = (B_{N-1} - zI)^{-1},
-      G_k = (B_k - zI - A_k G_{k+1} A_k*)^{-1}, over all N blocks;
-    - doubling (``_doubled``), taken per z where the family has a period L,
-      N >= M blocks (M = DOUBLING_PERIODS * L) and
-      N |Im z| >= DOUBLING_GATE * max ||A_n||: O(M + log N) steps, and only
-      M blocks are stored.
-
-    Everywhere else, and for every family without a period, the sweep is the
-    route.  z may be an array, and N an int or an integer array broadcast
-    against it: W is then a stack of the broadcast shape + (d, d), each entry
-    bit-identical to the call at its own (z, N) alone.  The call makes one
-    sweep, over the largest N, for every z (a doubled z is swept over its
-    N mod M remainder), and one doubling for the doubled z.  N above
-    HORIZON_CAP anywhere raises before any block is read, and so does N < 1
-    or a non-integer N.
-    A singular pivot or doubling solve at any z raises, and so does a
+    z may be an array, and N an int or an integer array broadcast against it:
+    W is then a stack of the broadcast shape + (d, d), each entry bit-identical
+    to the call at its own (z, N) alone, from one sweep over the largest N.
+    N above HORIZON_CAP anywhere raises before any block is read, and so does
+    N < 1 or a non-integer N.  A singular pivot at any z raises, and so does a
     non-finite W at any z (ArithmeticError: the sweep overflowed, or z was not
     finite), with no numpy warning.
     """
-    w, finite = _schur(p, z, N)
-    if not finite.all():
+    w = _schur(p, z, N)
+    if not (np.isfinite(w).all() and np.isfinite(z).all()):  # at z = inf, W = 0 is a limit
         raise ArithmeticError(NOT_FINITE)
     z = z if np.shape(z) == w.shape[:-2] else np.broadcast_to(z, w.shape[:-2])
     return WeylSample(z, w, "schur", N, {"herglotz_min_eig": _herglotz_min_eig(z, w)})
@@ -173,25 +154,18 @@ def _check_n(N) -> None:
         raise ValueError("N must be >= 1")
 
 
-def _schur(p: JacobiParams, z, N) -> tuple:
-    """The W stack of ``weyl_schur`` and a per-z mask of where W and z are
-    finite (at z = inf, W = 0 is a limit): ``weyl_schur`` raises from it, and
-    ``boundary_scan``, which calls this, records it per point.  The scan reads
-    W only, and perfbench's tracer records a ``weyl_schur`` call's N as one
-    number, which a scan's N per rung is not."""
+def _schur(p: JacobiParams, z, N):
+    """The W stack of ``weyl_schur``, which ``boundary_scan`` calls for the W
+    alone: perfbench's tracer records a ``weyl_schur`` call's N as one number,
+    which a scan's N per rung is not."""
     _check_n(N)
     zb, nb = np.broadcast_arrays(z, N)
-    zi, fast = scaled_eye(zb, p.d), _doubles(p, zb, nb)
-    zf, n, fast = zi.reshape(-1, p.d, p.d), nb.ravel(), fast.ravel()
-    length = n.copy()  # of each z's sweep: a doubled z is swept over N mod M
-    if fast.any():
-        length[fast] %= DOUBLING_PERIODS * p.period
-    order = np.argsort(-length, kind="stable")
+    zi = scaled_eye(zb, p.d)
+    zf, n = zi.reshape(-1, p.d, p.d), nb.ravel()
+    order = np.argsort(-n, kind="stable")
     g = np.empty_like(zf)
-    g[order] = _sweep(*p.stack(int(length.max(initial=0))), zf[order], length[order])
-    if fast.any():
-        g[fast] = _doubled(p, zf[fast], n[fast], g[fast])
-    return g.reshape(zi.shape), np.isfinite(g).all(axis=(1, 2)).reshape(zb.shape) & np.isfinite(zb)
+    g[order] = _sweep(*p.stack(int(n.max(initial=0))), zf[order], n[order])
+    return g.reshape(zi.shape)
 
 
 def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, n=None, ends: bool = False):
@@ -210,7 +184,8 @@ def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, n=None, ends: bool = Fa
     """
     counts = [len(b)] * len(zi) if n is None else n.tolist()
     joins = {c - 1: i + 1 for i, c in enumerate(counts) if c}  # block k -> live z after it
-    g, live = zi[:0], 0
+    g = top = bottom = zi[:0]
+    live = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by the caller
             for k in range(max(joins, default=-1), -1, -1):
@@ -233,90 +208,62 @@ def _sweep(a: np.ndarray, b: np.ndarray, zi: np.ndarray, n=None, ends: bool = Fa
     return (g, top, bottom) if ends else g
 
 
-def _doubles(p: JacobiParams, z, N) -> np.ndarray:
-    """Per (z, N), broadcast, whether ``weyl_schur`` doubles: the family has a
-    period L, N is at least M = DOUBLING_PERIODS * L blocks (so the map is
-    applied at least once), z is finite and N |Im z| >= DOUBLING_GATE * s with
-    s = max ||A_n||, so the section is many decay lengths long and the doubled
-    W stays within rounding of the sweep's (README, Numerical notes)."""
-    L, n = p.period, np.asarray(N)
-    if L is None or np.all(n < DOUBLING_PERIODS * L):
-        return np.zeros(np.broadcast_shapes(np.shape(z), n.shape), dtype=bool)
-    s = np.linalg.norm(p.stack(L)[0], 2, axis=(1, 2)).max()
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ((n >= DOUBLING_PERIODS * L) & np.isfinite(z)
-                & (n * np.abs(np.imag(z)) >= DOUBLING_GATE * s))
-
-
-def _doubled(p: JacobiParams, zi: np.ndarray, n: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """W of the n-block sections of a family of period L, for the (m, d, d)
-    stack zi of zI and one block count n >= M per z.
+def _half_line(p: JacobiParams, zi: np.ndarray) -> tuple:
+    """W(z) of the half-line operator of a family with a period L, for the
+    (m, d, d) stack zi of zI, and a per-z mask of where it converged.
 
     M backward steps, M = DOUBLING_PERIODS * L, are one map
     Phi(G) = alpha + beta G (I - gamma G)^{-1} delta from G_M to G_0, with
     (alpha, beta, gamma, delta) = (R_00, R_{0,M-1} A, A* R_{M-1,M-1} A, A* R_{M-1,0})
     for R the resolvent of the M-block section and A = A_{M-1}.  The corners come
     from short sweeps: R_00 and the off-diagonal corners from one, R_{M-1,M-1}
-    from the sweep of the reversed section.  With n = q M + r, W = Phi^q(G_r),
-    where w holds each z's G_r, the sweep over its first r blocks (0 if r = 0).
-    The map is built once and powered bit by bit: a z composes only where its
-    own q has the bit set, and its map is squared only while q has bits left
-    (the z sorted by q, so those are a prefix), so each z meets the
-    compositions, about 2 log2 q, of its call alone.
+    from the sweep of the reversed section.  After k squarings Phi is the map of
+    the M 2^k-block section, and alpha its W; beta and delta decay, and alpha
+    converges to the half-line W.  A z leaves the stacks at the first squaring
+    that moved its alpha by at most HALF_LINE_TOL of alpha's largest entry, so
+    each W is bit-identical to the call at its z alone.  A z still moving after
+    HALF_LINE_SQUARINGS squarings is not converged (a real z inside a band never
+    is); a non-finite alpha leaves at once, for the caller to flag.
     """
     M = DOUBLING_PERIODS * p.period
-    q, done = np.divmod(n, M)  # done: the blocks each z's w stands for
-    order = np.argsort(-q, kind="stable")
-    zi, q, done, w = zi[order], q[order].tolist(), done[order], w[order]
     a, b = p.stack(M)
-    g, top, bottom = _sweep(a, b, zi, ends=True)
-    last = _sweep(a[-2::-1].conj().transpose(0, 2, 1), b[::-1], zi)
-    ah = a[-1].conj().T
-    phi, size = (g, top @ a[-1], ah @ last @ a[-1], ah @ bottom), M
-    while True:
-        hit = [i for i, qi in enumerate(q) if qi & 1]
-        if hit:
-            if len(hit) == len(q):  # every live z: the stacks as they are, no gathers
-                hit = slice(len(q))
-            done[hit] += size
-            w[hit] = _compose(tuple(x[hit] for x in phi), (w[hit],), done[hit])[0]
-        q = [qi >> 1 for qi in q if qi >> 1]  # still a prefix
-        if not q:
-            break
-        size *= 2
-        phi = tuple(x[:len(q)] for x in phi)
-        phi = _compose(phi, phi, size)
-    out = np.empty_like(w)
-    out[order] = w
-    return out
+    converged = np.zeros(len(zi), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks W
+        g, top, bottom = _sweep(a, b, zi, ends=True)
+        last = _sweep(a[-2::-1].conj().transpose(0, 2, 1), b[::-1], zi)
+        ah = a[-1].conj().T
+        phi = (g, top @ a[-1], ah @ last @ a[-1], ah @ bottom)
+        w, live = g.copy(), np.arange(len(zi))
+        for k in range(1, HALF_LINE_SQUARINGS + 1):
+            if not len(live):
+                break
+            alpha, phi = phi[0], _compose(phi, phi, M << k)
+            w[live] = phi[0]
+            moved = np.abs(phi[0] - alpha).max(axis=(1, 2))
+            done = moved <= HALF_LINE_TOL * np.abs(phi[0]).max(axis=(1, 2))
+            converged[live[done]] = True
+            keep = ~done & np.isfinite(moved)
+            live, phi = live[keep], tuple(x[keep] for x in phi)
+    return w, converged
 
 
-def _compose(f: tuple, g: tuple, n) -> tuple:
+def _compose(f: tuple, g: tuple, n: int) -> tuple:
     """f o g for maps G -> alpha + beta G (I - gamma G)^{-1} delta given as
-    (alpha, beta, gamma, delta) stacks; a g of (alpha,) alone is the constant
-    map alpha, and so is f o g then.  n is the number of blocks of the section
-    f o g stands for, an int or one per z, named if a solve is singular (for
-    the first such z).
+    (alpha, beta, gamma, delta) stacks.  n is the number of blocks of the
+    section f o g stands for, named if a solve is singular.
 
     With K = I - gamma_f alpha_g: alpha = alpha_f + beta_f alpha_g K^{-1} delta_f,
     beta = beta_f (I - alpha_g gamma_f)^{-1} beta_g,
     gamma = gamma_g + delta_g K^{-1} gamma_f beta_g, delta = delta_g K^{-1} delta_f.
     """
-    a1, b1, c1, d1 = f
-    a2, d = g[0], g[0].shape[-1]
-    eye = np.eye(d)
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = f, g
+    eye = np.eye(d := a2.shape[-1])
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by _schur
-            if len(g) == 1:
-                return (a1 + b1 @ a2 @ np.linalg.solve(eye - c1 @ a2, d1),)
-            _, b2, c2, d2 = g
+        with np.errstate(over="ignore", invalid="ignore"):  # W is checked once, by the caller
             x = np.linalg.solve(eye - c1 @ a2, np.concatenate([d1, c1 @ b2], axis=-1))
             return (a1 + b1 @ a2 @ x[..., :d], b1 @ np.linalg.solve(eye - a2 @ c1, b2),
                     c2 + d2 @ x[..., d:], d2 @ x[..., :d])
     except np.linalg.LinAlgError as exc:
-        if np.ndim(n):  # z by z, so the message names the first failing z's own n
-            for i, ni in enumerate(n):
-                _compose(tuple(x[i:i + 1] for x in f), tuple(x[i:i + 1] for x in g), int(ni))
         raise np.linalg.LinAlgError(
             f"singular doubling solve at {n} blocks: z too close to the section spectrum"
         ) from exc
@@ -363,11 +310,10 @@ def energy_identity_gap(p: JacobiParams, z: complex, N: int, v) -> dict:
     """Check <Im W v, v>/Im z against the squared l2 norm of U(z) v.
 
     Both sides are evaluated on the same N-block section, where the identity
-    is exact: Im W / Im z = X* X for X the first d resolvent columns.  W comes
-    from ``weyl_schur``; where that doubles (a periodic family), W is within
-    the doubled route's bound of the section's, so the gap checks that route
-    too.  Also evaluates the trace bound sum_n ||U_n||^2 <= tr(Im W)/Im z
-    (operator norms over the same window).
+    is exact: Im W / Im z = X* X for X the first d resolvent columns, with W
+    from ``weyl_schur``'s sweep and X from the banded solve, so the gap checks
+    the one route against the other.  Also evaluates the trace bound
+    sum_n ||U_n||^2 <= tr(Im W)/Im z (operator norms over the same window).
     """
     if z.imag == 0:
         raise ValueError("energy identity needs Im z != 0")
@@ -448,16 +394,17 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
                   n_rule=default_n_rule) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
-    Each rung is checked on its own first: its N = n_rule(eps), N an integer in
-    1..HORIZON_CAP and the blocks its sweep reads (of a family with a period,
-    the first period).  Then one ``_schur`` call (``weyl_schur``'s W stack),
-    one N per rung, gives W on the grid of the rungs that passed; a (lambda,
-    eps) whose W or z is not finite is read off its mask, and an error of the
-    call itself (a singular pivot or doubling solve, ruled out at Im z > 0 in
-    exact arithmetic) is recorded at every called point.  The labels read
-    ``_ladder_stats`` of the whole grid.  A failed (lambda, eps) is a row with
-    its error message rather than raised, and its lambda undecided with the
-    first such message; rows are in grid order, deterministic.
+    On a family with a period, W is the half-line's, from one ``_half_line``
+    call for the whole grid; n_rule is not called, and a point that did not
+    converge is its row error.  Without a period, each rung is checked on its
+    own first (N = n_rule(eps) an integer in 1..HORIZON_CAP, and the blocks its
+    sweep reads), then one ``_schur`` call gives W on the rungs that passed.
+    A point whose W or z is not finite is its row error, and an error of the
+    call itself (a bad block, a singular pivot or composition solve, ruled out
+    at Im z > 0 in exact arithmetic) every called point's.  The labels read
+    ``_ladder_stats`` of the whole grid.  A failed point is a row with its
+    error message rather than raised, and its lambda undecided with the first
+    such message; rows are in grid order, deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     eps_ladder = _check_ladder(eps_ladder)
@@ -466,22 +413,31 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
     w = np.zeros(z.shape + (p.d, p.d), dtype=complex)
     errors, failed = np.full(z.shape, "", dtype=object), np.zeros(z.shape, dtype=bool)
     ns = {}  # rung -> N, for the rungs that passed their checks
-    for r, eps in enumerate(eps_ladder if len(lambda_grid) else ()):
+    for r, eps in enumerate(eps_ladder if len(lambda_grid) and p.period is None else ()):
         try:
             n = n_rule(eps)
             _check_n(n)
-            p.stack(min(n, p.period or n))
+            p.stack(n)
             ns[r] = n
         except NUMERICAL_ERRORS as exc:
             errors[r], failed[r] = str(exc), True
-    rungs = list(ns)
+    rungs = list(ns) if p.period is None else list(range(len(eps_ladder)))
+    converged = True
     try:
-        wr, finite = _schur(p, z[rungs], np.array(list(ns.values()), dtype=int)[:, None])
+        if p.period is None:
+            wr = _schur(p, z[rungs], np.array(list(ns.values()), dtype=int)[:, None])
+        else:
+            wr, converged = _half_line(p, scaled_eye(z.ravel(), p.d))
+            wr, converged = wr.reshape(w.shape), converged.reshape(z.shape)
     except NUMERICAL_ERRORS as exc:
         errors[rungs], failed[rungs] = str(exc), True
     else:  # a NaN left in the stack would fail _ladder_stats' SVD
-        w[rungs] = np.where(finite[..., None, None], wr, 0)
-        errors[rungs], failed[rungs] = np.where(finite, "", NOT_FINITE), ~finite
+        finite = np.isfinite(wr).all(axis=(-2, -1)) & np.isfinite(z[rungs])
+        w[rungs] = np.where((finite & converged)[..., None, None], wr, 0)
+        errors[rungs], failed[rungs] = np.where(finite, "", NOT_FINITE), ~(finite & converged)
+        for r, i in zip(*np.nonzero(finite & ~converged)):  # the half-line's: rungs are all
+            errors[r, i] = (f"W did not converge at z = {complex(z[r, i])!r} "
+                            f"in {HALF_LINE_SQUARINGS} squarings")
     tr_im, diffs, w_norm, sv, im_w = _ladder_stats(w)
     rows = [{"lambda": float(lam), "eps": float(eps), "W": None if failed[r, i] else w[r, i],
              "tr_im": math.nan if failed[r, i] else float(tr_im[r, i]), "error": errors[r, i]}

@@ -263,6 +263,18 @@ FREE = {"name": "free", "d": 1}
      "t_grid: steps = 1099511627776 is above the cap of 4096 nodes"),
     ({"command": "weyl-scan", "n_rule_C": math.inf}, [], "n_rule_C must be finite, got inf"),
     ({"command": "nonsub", "cap": "inf"}, [], "cap must be finite, got inf"),
+    # counts are JSON numbers with an integral value, not truncated or cast
+    ({"N": 60.5}, [], "N must be an integer, got 60.5"),
+    ({"N": True}, [], "N must be an integer, got True"),
+    ({"family": {"name": "free", "d": 1.9}}, [], "family.d must be an integer, got 1.9"),
+    ({"family": {"name": "free", "d": "2"}}, [], "family.d must be an integer, got '2'"),
+    ({"command": "nonsub", "t_grid": {"max": 10, "steps": 2.7}}, [],
+     "t_grid.steps must be an integer, got 2.7"),
+    ({"command": "weyl-scan", "lambda": {"min": 0, "max": 1, "steps": 4.5}}, [],
+     "lambda.steps must be an integer, got 4.5"),
+    ({"command": "polys", "n_max": "3"}, [], "n_max must be an integer, got '3'"),
+    ({"command": "transfer-check", "k_max": False}, [], "k_max must be an integer, got False"),
+    ({"N": math.nan}, [], "N: cannot convert float NaN to integer"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
@@ -271,6 +283,27 @@ def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, fl
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and where in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, written, count", [
+    ("polys", {"n_max": 1e1, "family": {"name": "free", "d": 2.0}},
+     {"n_max": 10, "family": {"name": "free", "d": 2}}),
+    ("transfer-check", {"k_max": 12.0}, {"k_max": 12}),
+    ("weyl", {"N": 1e3}, {"N": 1000}),
+    ("weyl-scan", {"lambda": {"min": -1.0, "max": 1.0, "steps": 3.0}},
+     {"lambda": {"min": -1.0, "max": 1.0, "steps": 3}}),
+    ("nonsub", {"t_grid": {"max": 8.0, "steps": 4.0}}, {"t_grid": {"max": 8.0, "steps": 4}}),
+])
+def test_a_count_written_as_an_integral_float_is_that_count(tmp_path, command, written, count):
+    # 1e3 is the JSON number 1000: the same bytes as the integer
+    outs = []
+    for name, knobs in (("written", written), ("count", count)):
+        config = {"family": FREE, "command": command, **knobs}
+        path = write_config(tmp_path, f"{name}.json", **config)
+        out = tmp_path / f"{name}.csv"
+        assert main(["--config", path, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 _FLAG_BASE = {"family": FREE, "command": "weyl", "N": 20, "z": [0.0, 1.0],
@@ -414,8 +447,9 @@ _NOT_FINITE = "W is not finite: the Schur sweep overflowed"
 
 
 @pytest.mark.parametrize("family, knobs, code, failed", [
-    # N(1e-320) = 1 block, and W = 1/(-i 1e-320) overflows on the last rung only
-    ({"name": "constant", "d": 1, "A": [[1.0]], "B": [[0.0]]},
+    # N(1e-320) = 1 block of a family without a period, and W = 1/(-i 1e-320)
+    # overflows on the last rung only
+    ({"name": "explicit", "d": 1, "A": [[[1.0]]], "B": [[[0.0]]]},
      {"lambda": {"min": 0.0, "max": 0.0, "steps": 1}, "eps_ladder": [1e-10, 1e-300, 1e-320],
       "n_rule_C": 1e-320}, 0, [1e-320]),
     ({"name": "diagonal", "components": [{"a": 1e308, "b": 0.0}]},

@@ -251,14 +251,24 @@ def _classify(ws: list, tr_im: list) -> dict:
 
 
 def _scan_one_call_per_sample(p, lambda_grid, eps_ladder, n_rule):
-    """boundary_scan's rows and classification from one scalar weyl_schur call
-    per (lambda, eps)."""
+    """boundary_scan's rows and classification from one call per (lambda, eps):
+    ``_half_line`` at that z alone on a family with a period, else a scalar
+    weyl_schur call at N = n_rule(eps)."""
     rows, classification = [], []
     for lam in lambda_grid:
         ws, tr_im, errors = [], [], []
         for eps in eps_ladder:
+            z = complex(lam, eps)
             try:
-                w = weyl_schur(p, complex(lam, eps), n_rule(eps)).W
+                if p.period is None:
+                    w = weyl_schur(p, z, n_rule(eps)).W
+                else:
+                    w, converged = bjweyl.weyl._half_line(p, z * np.eye(p.d)[None])
+                    if not np.isfinite(w).all():
+                        raise ArithmeticError("W is not finite: the Schur sweep overflowed")
+                    if not converged[0]:
+                        raise ArithmeticError(f"W did not converge at z = {z!r} in 64 squarings")
+                    w = w[0]
             except (ArithmeticError, ValueError, IndexError) as exc:
                 errors.append(str(exc))
                 rows.append((lam, eps, None, math.nan, str(exc)))
@@ -284,7 +294,12 @@ _README = [{"a": 1.0, "b": 0.0}, {"a": 1.0, "b": 0.5}]
 
 
 _LABELS = {"sing_candidate": ["sing_candidate"], "undecided_a20": ["undecided"] * 2,
-           "outside_rank_0": ["outside"]}
+           "outside_rank_0": ["outside"], "constant_a5": ["outside"] + ["ac"] * 7 + ["outside"]}
+
+
+def _period_less(p):
+    """The same blocks as p, behind a rule with no period: a scan sweeps it at N(eps)."""
+    return JacobiParams(p.d, p.rule)
 
 
 @pytest.mark.parametrize("case", ["short_explicit", "random_d1", "random_d2", "random_d3",
@@ -302,47 +317,48 @@ def test_boundary_scan_equals_one_schur_call_per_sample(rng, monkeypatch, case):
         p = random_bounded_params(rng, int(case[-1]))
         grid, ladder = np.linspace(-3, 3, 7), [0.5, 0.2, 0.1, 0.05, 0.02]
         n_rule, failed = lambda eps: math.ceil(4 / eps), {4}
-    elif case == "free":  # both routes in one scan: N = 2 < M and N |Im z| = 10 are swept
+    elif case == "free":  # the half-line at every rung, whatever the rule says
         p, ladder = make_family("free", 1), [5.0, 1.0, 0.3, 0.1, 0.03]
         n_rule = lambda eps: math.ceil((10 if eps > 0.5 else 50) / eps)
-    elif case == "constant_a5":  # N |Im z| = 50 is below the gate's 20 ||A|| = 100: swept
+    elif case == "constant_a5":  # the half-line: no N(eps) too short for ||A|| = 5
         p, grid = make_family("constant", 1, A=[[5.0]], B=[[0.0]]), np.linspace(-12, 12, 9)
     elif case == "zero_rung":  # N = 0 fails the second rung's check, and only that rung
-        p = make_family("diagonal", 2, components=_README)
+        p = _period_less(make_family("diagonal", 2, components=_README))
         n_rule, failed = lambda eps: 0 if eps == 0.03 else default_n_rule(eps), {1}
-    elif case == "periodic_bad_block":  # B_2 is not Hermitian: N = 1 and 2 read only B_0, B_1
+    elif case == "periodic_bad_block":  # B_2 is not Hermitian: every point of the half-line
         eye, zero = np.eye(2), np.zeros((2, 2))
         p = make_family("periodic_modulated", 2, A_period=[eye] * 3,
                         B_period=[zero, zero, np.triu(np.ones((2, 2)), 1)])
-        grid, ladder, failed = np.linspace(-1, 1, 3), [50.0, 30.0, 1.0], {2}
+        grid, ladder = np.linspace(-1, 1, 3), [50.0, 30.0, 1.0]
     elif case == "sing_candidate":  # B_0 = 5I: an eigenvalue at 5.2, tr Im W 19.2 to 1920
         p = JacobiParams(2, lambda n: (np.eye(2), 5.0 * np.eye(2) if n == 0 else np.zeros((2, 2))))
         grid, ladder = np.array([5.2]), [0.1, 0.03, 0.01, 0.003, 0.001]
         n_rule = lambda eps: math.ceil(5 / eps)
-    elif case == "undecided_a20":  # N(eps) is short for a = 20: W does not contract
-        p, grid = make_family("constant", 1, A=[[20.0]], B=[[0.0]]), np.array([0.0, 10.0])
+    elif case == "undecided_a20":  # no period: N(eps) is short for a = 20, W does not contract
+        p = _period_less(make_family("constant", 1, A=[[20.0]], B=[[0.0]]))
+        grid = np.array([0.0, 10.0])
     elif case == "outside_rank_0":  # tr Im W 1.03e-8, then 9.28e-9: no vanishing, no rank
-        p, grid, ladder = make_family("free", 1), np.array([10.0]), [1e-6, 9e-7]
+        p, grid, ladder = _period_less(make_family("free", 1)), np.array([10.0]), [1e-6, 9e-7]
         n_rule = lambda eps: 50
     else:
         p = make_family("diagonal", 2, components=_README)
-    z_ladder = np.array(ladder)[:, None] * 1j + grid
-    routes = {bool(x) for r, eps in enumerate(ladder) if r not in failed
-              for x in bjweyl.weyl._doubles(p, z_ladder[r], n_rule(eps))}
-    assert routes == {"free": {True, False}, "constant_a5": {False},
-                      "readme_diagonal": {True}}.get(case, routes)
+    if case == "periodic_bad_block":
+        failed = set(range(len(ladder)))
     rows, classification = _scan_one_call_per_sample(p, grid, ladder, n_rule)
-    calls = []  # the scan's calls of the W stack behind weyl_schur
-    sweep = bjweyl.weyl._schur
-    monkeypatch.setattr(bjweyl.weyl, "_schur", lambda *a: calls.append(a[1]) or sweep(*a))
+    calls = []  # the scan's calls of the W stack behind weyl_schur, or of the half-line
+    sweep, half = bjweyl.weyl._schur, bjweyl.weyl._half_line
+    monkeypatch.setattr(bjweyl.weyl, "_schur", lambda *a: calls.append(np.shape(a[1])) or sweep(*a))
+    monkeypatch.setattr(bjweyl.weyl, "_half_line", lambda *a: calls.append(len(a[1])) or half(*a))
     scan = boundary_scan(p, grid, ladder, n_rule=n_rule)
     got = [(r["lambda"], r["eps"], r["W"], r["tr_im"], r["error"]) for r in scan.rows]
     assert len(got) == len(rows) == len(grid) * len(ladder)
     assert all(_same(x, y) for g, r in zip(got, rows) for x, y in zip(g, r))
     assert [c.keys() for c in scan.classification] == [c.keys() for c in classification]
     assert all(_same(c[k], e[k]) for c, e in zip(scan.classification, classification) for k in c)
-    # one call, over the rungs that passed their check; only the failed rungs have errors
-    assert [np.shape(z) for z in calls] == [(len(ladder) - len(failed), len(grid))]
+    # one call: the half-line over the whole grid, or the sweep over the rungs that passed
+    # their check; only the failed rungs have errors
+    assert calls == ([len(grid) * len(ladder)] if p.period else
+                     [(len(ladder) - len(failed), len(grid))])
     assert {k % len(ladder) for k, r in enumerate(rows) if r[4]} == failed
     if case in _LABELS:
         assert [c["label"] for c in classification] == _LABELS[case]
@@ -352,25 +368,30 @@ def test_a_failed_schur_call_is_every_called_point_s_error(monkeypatch):
     message = "singular Schur pivot at block 3: z too close to the section spectrum"
     calls = []
 
-    def singular(p, z, N):
+    def singular(p, z, *N):
         calls.append(np.shape(z))
         raise np.linalg.LinAlgError(message)
 
     monkeypatch.setattr(bjweyl.weyl, "_schur", singular)
-    scan = boundary_scan(make_family("free", 1), [-1.0, 0.0, 1.0], [0.5, 0.2, 0.1],
+    scan = boundary_scan(_period_less(make_family("free", 1)), [-1.0, 0.0, 1.0], [0.5, 0.2, 0.1],
                          n_rule=lambda eps: 0 if eps == 0.2 else 10)
     assert calls == [(2, 3)]  # rungs 0 and 2; rung 1 failed its own check
     assert [r["error"] for r in scan.rows] == [message, "N must be >= 1", message] * 3
     assert all(r["W"] is None and math.isnan(r["tr_im"]) for r in scan.rows)
     assert scan.classification == [{"label": "undecided", "rank": None, "density": None,
                                      "error": message}] * 3
+    # the half-line call of a family with a period: every point of the grid
+    monkeypatch.setattr(bjweyl.weyl, "_half_line", singular)
+    scan = boundary_scan(make_family("free", 1), [-1.0, 0.0, 1.0], [0.5, 0.2, 0.1])
+    assert calls[1:] == [(9, 1, 1)]
+    assert [r["error"] for r in scan.rows] == [message] * 9
 
 
 def test_library_scan_past_the_cap_names_it_without_a_numpy_warning():
     message = f"eps = 1e-320 needs N above the cap of {HORIZON_CAP} blocks"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = boundary_scan(make_family("free", 1), [0.0], [1e-320])
+        scan = boundary_scan(_period_less(make_family("free", 1)), [0.0], [1e-320])
         with pytest.raises(ValueError, match=f"^{message}$"):
             default_n_rule(1e-320)
     assert scan.rows[0]["error"] == scan.classification[0]["error"] == message
@@ -439,23 +460,18 @@ def _family(rng, name):
                                   "user_rule"])
 def test_array_n_is_bit_identical_to_the_scalar_call_at_each_z_and_n(rng, name):
     p = _family(rng, name)
-    M = bjweyl.weyl.DOUBLING_PERIODS * (p.period or 1)
-    # below M, M, multiples of M (no remainder), remainders, and a long section
+    M = 4 * (p.period or 1)
+    # short sections, multiples of the period and not, and a long section, in one sweep
     ns = np.array([1, 3, M - 1, M, 2 * M, 8 * M, 8 * M + 5, 97, 1000])
     z = (rng.uniform(-3, 3, (4, 1)) + 1j * np.array([[1e-3], [0.05], [0.5], [2.0]]))
-    if name == "constant_a5":  # the default rule's rungs, all below the gate of 20 ||A||
+    if name == "constant_a5":  # the default rule's rungs
         ladder = np.array([1.0, 0.3, 0.1, 0.03])
         ns = np.array([default_n_rule(e) for e in ladder])[:, None]
         z = rng.uniform(-12, 12, 5) + 1j * ladder[:, None]
-    fast = bjweyl.weyl._doubles(p, *np.broadcast_arrays(z, ns))
-    if p.period is None or name == "constant_a5":
-        assert not fast.any()
-    else:  # N |Im z| on both sides of the gate, and N on both sides of M, in one call
-        assert fast.any() and not fast.all()
     batch = weyl_schur(p, z, ns)
-    assert batch.W.shape == fast.shape + (p.d, p.d)
     zb, nb = np.broadcast_arrays(z, ns)
-    for idx in np.ndindex(fast.shape):
+    assert batch.W.shape == zb.shape + (p.d, p.d)
+    for idx in np.ndindex(zb.shape):
         one = weyl_schur(p, complex(zb[idx]), int(nb[idx]))
         assert np.array_equal(batch.W[idx], one.W)
         assert batch.diagnostics["herglotz_min_eig"][idx] == one.diagnostics["herglotz_min_eig"]
@@ -469,6 +485,8 @@ def test_an_empty_z_gives_an_empty_stack(rng, name):
         s = weyl_schur(p, z, ns)
         assert s.W.shape == z.shape + (p.d, p.d)
         assert np.shape(s.diagnostics["herglotz_min_eig"]) == z.shape
+    scan = boundary_scan(p, [], [0.1, 0.01])  # the half-line, or the sweep at N(eps)
+    assert scan.rows == [] and scan.classification == []
 
 
 def test_an_array_n_above_the_cap_anywhere_raises_before_calling_the_rule():
@@ -500,8 +518,8 @@ def test_weyl_solution_names_im_z_when_the_pad_passes_the_cap():
         weyl_solution(p, 0.3 + 1e-5j, np.eye(1), 40)
 
 
-@pytest.mark.parametrize("family", [
-    make_family("free", 1),
+@pytest.mark.parametrize("family", [  # without a period: a family with one reads no rule
+    _period_less(make_family("free", 1)),
     make_family("explicit", 1, A=[[[1.0]]] * 400, B=[[[0.0]]] * 400),
 ])
 def test_a_non_integer_n_from_the_rule_is_its_rung_s_error(family):
