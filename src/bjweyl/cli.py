@@ -115,16 +115,13 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown key {where}{key!r}")
 
 
-def _count(where: str):
-    """The reader of the count at where: a JSON number with an integral value
-    (1e3 is 1000).  A bool, a string or a fractional value is a ConfigError
-    naming where and the value; int(inf) and int(nan) raise, for the caller's
-    ``_located`` to name."""
-    def read(x) -> int:
-        if isinstance(x, bool) or not isinstance(x, (numbers.Integral, float)) or x != int(x):
-            raise ConfigError(f"{where} must be an integer, got {x!r}")
-        return int(x)
-    return read
+def _count(x) -> int:
+    """A count: a JSON number with an integral value (1e3 is 1000).  A bool, a
+    string or a fractional value is a ValueError naming the value, and int(inf)
+    and int(nan) raise, for the caller's ``_located`` to name the key."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Integral, float)) or x != int(x):
+        raise ValueError(f"must be an integer, got {x!r}")
+    return int(x)
 
 
 def _decode(text: str) -> dict:
@@ -159,7 +156,7 @@ def parse_config(config: str | dict) -> RunConfig:
         if "d" not in fam:
             raise ConfigError("family.d is required")
         with _located("family"):
-            fam["d"] = _count("family.d")(fam["d"])
+            fam["d"] = _count(fam["d"])
         _reject_unknown(fam, FAMILY_KNOBS[name] | {"name", "d"}, "family.")
         cfg.family = fam
     for key, attr, choices in (("command", "command", COMMANDS), ("format", "fmt", ("csv", "json")),
@@ -177,13 +174,13 @@ def parse_config(config: str | dict) -> RunConfig:
             cfg.eps_ladder = tuple(float(e) for e in raw["eps_ladder"])
             _check_ladder(cfg.eps_ladder)
     for key, attr, convs in (("lambda", "lambda_grid",
-                              {"min": float, "max": float, "steps": _count("lambda.steps")}),
-                             ("t_grid", "t_grid", {"max": float, "steps": _count("t_grid.steps")})):
+                              {"min": float, "max": float, "steps": _count}),
+                             ("t_grid", "t_grid", {"max": float, "steps": _count})):
         if key in raw:
             with _located(key):
                 _reject_unknown(raw[key], set(convs), f"{key}.")
                 setattr(cfg, attr, tuple(conv(raw[key][k]) for k, conv in convs.items()))
-    for key, conv in (("N", _count("N")), ("k_max", _count("k_max")), ("n_max", _count("n_max")),
+    for key, conv in (("N", _count), ("k_max", _count), ("n_max", _count),
                       ("n_rule_C", float), ("cap", float), ("out", str), ("measure_in", str)):
         if key in raw:
             with _located(key):

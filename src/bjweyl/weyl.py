@@ -40,7 +40,7 @@ DEFAULT_N_RULE_C = 50.0  # N(eps) = ceil(C/eps) blocks
 RANK_REL = 1e-3  # _decide's rank: singular values of Im W above this share of the largest
 DOUBLING_PERIODS = 4  # _half_line's base map: the section of M = 4 periods
 HALF_LINE_TOL = 1e-15  # _half_line stops where alpha moved by at most this share of max |alpha|
-HALF_LINE_SQUARINGS = 64  # _half_line's bound; eps = 1e-8 needs 31 squarings
+HALF_LINE_BLOCKS = 2 ** 22  # _half_line's reach; free at eps = 4.8e-5 converges within it
 NOT_FINITE = "W is not finite: the Schur sweep overflowed"
 
 
@@ -221,9 +221,11 @@ def _half_line(p: JacobiParams, zi: np.ndarray) -> tuple:
     the M 2^k-block section, and alpha its W; beta and delta decay, and alpha
     converges to the half-line W.  A z leaves the stacks at the first squaring
     that moved its alpha by at most HALF_LINE_TOL of alpha's largest entry, so
-    each W is bit-identical to the call at its z alone.  A z still moving after
-    HALF_LINE_SQUARINGS squarings is not converged (a real z inside a band never
-    is); a non-finite alpha leaves at once, for the caller to flag.
+    each W is bit-identical to the call at its z alone.  A z still moving once
+    the map stands for HALF_LINE_BLOCKS blocks is not converged: past that reach
+    (about eps >= 3e-5 max |A_n| in a band) rounding, about 1e-16 per block, and
+    sections near resonance can make alpha settle on a wrong W.  A non-finite
+    alpha leaves at once, for the caller to flag.
     """
     M = DOUBLING_PERIODS * p.period
     a, b = p.stack(M)
@@ -234,7 +236,7 @@ def _half_line(p: JacobiParams, zi: np.ndarray) -> tuple:
         ah = a[-1].conj().T
         phi = (g, top @ a[-1], ah @ last @ a[-1], ah @ bottom)
         w, live = g.copy(), np.arange(len(zi))
-        for k in range(1, HALF_LINE_SQUARINGS + 1):
+        for k in range(1, (HALF_LINE_BLOCKS // M).bit_length()):
             if not len(live):
                 break
             alpha, phi = phi[0], _compose(phi, phi, M << k)
@@ -412,32 +414,34 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
     z.real, z.imag = lambda_grid, eps_ladder[:, None]
     w = np.zeros(z.shape + (p.d, p.d), dtype=complex)
     errors, failed = np.full(z.shape, "", dtype=object), np.zeros(z.shape, dtype=bool)
-    ns = {}  # rung -> N, for the rungs that passed their checks
-    for r, eps in enumerate(eps_ladder if len(lambda_grid) and p.period is None else ()):
-        try:
-            n = n_rule(eps)
-            _check_n(n)
-            p.stack(n)
-            ns[r] = n
-        except NUMERICAL_ERRORS as exc:
-            errors[r], failed[r] = str(exc), True
-    rungs = list(ns) if p.period is None else list(range(len(eps_ladder)))
-    converged = True
     try:
         if p.period is None:
-            wr = _schur(p, z[rungs], np.array(list(ns.values()), dtype=int)[:, None])
+            rungs, ns = [], []  # the rungs that passed their checks, and their N
+            for r, eps in enumerate(eps_ladder if len(lambda_grid) else ()):
+                try:
+                    n = n_rule(eps)
+                    _check_n(n)
+                    p.stack(n)
+                except NUMERICAL_ERRORS as exc:
+                    errors[r], failed[r] = str(exc), True
+                else:
+                    rungs.append(r)
+                    ns.append(n)
+            wr, converged = _schur(p, z[rungs], np.array(ns, dtype=int)[:, None]), np.True_
         else:
+            rungs = list(range(len(eps_ladder)))
             wr, converged = _half_line(p, scaled_eye(z.ravel(), p.d))
             wr, converged = wr.reshape(w.shape), converged.reshape(z.shape)
     except NUMERICAL_ERRORS as exc:
         errors[rungs], failed[rungs] = str(exc), True
     else:  # a NaN left in the stack would fail _ladder_stats' SVD
         finite = np.isfinite(wr).all(axis=(-2, -1)) & np.isfinite(z[rungs])
-        w[rungs] = np.where((finite & converged)[..., None, None], wr, 0)
-        errors[rungs], failed[rungs] = np.where(finite, "", NOT_FINITE), ~(finite & converged)
+        errors[rungs] = np.where(finite, "", NOT_FINITE)
         for r, i in zip(*np.nonzero(finite & ~converged)):  # the half-line's: rungs are all
             errors[r, i] = (f"W did not converge at z = {complex(z[r, i])!r} "
-                            f"in {HALF_LINE_SQUARINGS} squarings")
+                            f"within {HALF_LINE_BLOCKS} blocks")
+        failed[rungs] = errors[rungs] != ""
+        w[rungs] = np.where(~failed[rungs][..., None, None], wr, 0)
     tr_im, diffs, w_norm, sv, im_w = _ladder_stats(w)
     rows = [{"lambda": float(lam), "eps": float(eps), "W": None if failed[r, i] else w[r, i],
              "tr_im": math.nan if failed[r, i] else float(tr_im[r, i]), "error": errors[r, i]}

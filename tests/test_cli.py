@@ -264,16 +264,16 @@ FREE = {"name": "free", "d": 1}
     ({"command": "weyl-scan", "n_rule_C": math.inf}, [], "n_rule_C must be finite, got inf"),
     ({"command": "nonsub", "cap": "inf"}, [], "cap must be finite, got inf"),
     # counts are JSON numbers with an integral value, not truncated or cast
-    ({"N": 60.5}, [], "N must be an integer, got 60.5"),
-    ({"N": True}, [], "N must be an integer, got True"),
-    ({"family": {"name": "free", "d": 1.9}}, [], "family.d must be an integer, got 1.9"),
-    ({"family": {"name": "free", "d": "2"}}, [], "family.d must be an integer, got '2'"),
+    ({"N": 60.5}, [], "N: must be an integer, got 60.5"),
+    ({"N": True}, [], "N: must be an integer, got True"),
+    ({"family": {"name": "free", "d": 1.9}}, [], "family: must be an integer, got 1.9"),
+    ({"family": {"name": "free", "d": "2"}}, [], "family: must be an integer, got '2'"),
     ({"command": "nonsub", "t_grid": {"max": 10, "steps": 2.7}}, [],
-     "t_grid.steps must be an integer, got 2.7"),
+     "t_grid: must be an integer, got 2.7"),
     ({"command": "weyl-scan", "lambda": {"min": 0, "max": 1, "steps": 4.5}}, [],
-     "lambda.steps must be an integer, got 4.5"),
-    ({"command": "polys", "n_max": "3"}, [], "n_max must be an integer, got '3'"),
-    ({"command": "transfer-check", "k_max": False}, [], "k_max must be an integer, got False"),
+     "lambda: must be an integer, got 4.5"),
+    ({"command": "polys", "n_max": "3"}, [], "n_max: must be an integer, got '3'"),
+    ({"command": "transfer-check", "k_max": False}, [], "k_max: must be an integer, got False"),
     ({"N": math.nan}, [], "N: cannot convert float NaN to integer"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):

@@ -151,12 +151,12 @@ def test_array_z_is_bit_identical_to_the_scalar_calls_on_both_routes(rng, L, d):
     for zs in (z, z.reshape(2, 4), z[::3]):
         batch = weyl_schur(p, zs, N)
         w, converged = _half(p, zs)
-        assert converged.all()
         for idx in np.ndindex(zs.shape):
             one = weyl_schur(p, complex(zs[idx]), N)
             assert np.array_equal(batch.W[idx], one.W)
             assert batch.diagnostics["herglotz_min_eig"][idx] == one.diagnostics["herglotz_min_eig"]
-            assert np.array_equal(w[idx], _half(p, np.array([zs[idx]]))[0][0])
+            w_one, converged_one = _half(p, np.array([zs[idx]]))
+            assert np.array_equal(w[idx], w_one[0]) and converged[idx] == converged_one[0]
 
 
 def test_a_singular_composition_solve_is_a_located_error_without_a_numpy_warning():
@@ -256,9 +256,9 @@ def test_a_scan_reads_the_labels_of_the_sweep():
 
 
 def test_a_point_that_does_not_converge_is_a_named_row_error(tmp_path, capsys):
-    # eps far below the reach of 64 squarings (4 * 2^64 blocks): lambda = 0.5 inside
-    # the band never converges; lambda = 3 outside it does, in a few squarings
-    p, message = make_family("free", 1), "W did not converge at z = (0.5+{}j) in 64 squarings"
+    # eps far below the reach of 2^22 blocks: lambda = 0.5 inside the band does not
+    # converge; lambda = 3 outside it does, in a few squarings
+    p, message = make_family("free", 1), "W did not converge at z = (0.5+{}j) within 4194304 blocks"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scan = boundary_scan(p, [0.5, 3.0], [1e-20, 1e-21])
@@ -275,3 +275,47 @@ def test_a_point_that_does_not_converge_is_a_named_row_error(tmp_path, capsys):
                                       "error": message.format("1e-20")}
     assert capsys.readouterr().err == ""
     assert message.format("1e-20") in out.read_text()
+
+
+def test_an_eps_below_rounding_is_a_row_error_and_no_wrong_w(tmp_path, capsys):
+    # At lambda = 0 the 4-block map of free is the identity up to O(eps).  Rounding alone
+    # damps it by about 1e-16 per block, so with no bound on the blocks alpha settles,
+    # after 2^60 blocks, on 4.5e-285i at eps = 1e-300, where W = i.  At 1e-320 the first
+    # pivot overflows.  lambda = 3 lies outside the band: W converges at every eps.
+    p, ladder = make_family("free", 1), [1e-10, 1e-300, 1e-320]
+    stalled = "W did not converge at z = {}j within 4194304 blocks"
+    errors = [stalled.format("1e-10"), stalled.format("1e-300"), NOT_FINITE]
+    cfg, out = tmp_path / "c.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"family": {"name": "free", "d": 1}, "command": "weyl-scan",
+                               "lambda": {"min": 0.0, "max": 3.0, "steps": 2},
+                               "eps_ladder": ladder, "n_rule_C": 1e-320, "format": "json"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = boundary_scan(p, [0.0, 3.0], ladder)
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [r["error"] for r in scan.rows] == errors + [""] * 3
+    assert all(r["W"] is None for r in scan.rows[:3])
+    for r in scan.rows[3:]:
+        z = complex(r["lambda"], r["eps"])
+        assert abs(r["W"][0, 0] / _scalar_m(z, 1.0, 0.0) - 1) <= BOUND
+    assert scan.classification[0]["label"] == "undecided"
+    assert scan.classification[0]["error"] == errors[0]
+    rows = [r for r in json.loads(out.read_text())["rows"] if r["eps"]]
+    assert [r["error"] for r in rows] == errors + [""] * 3
+    assert all(r["re_W_0_0"] == r["im_W_0_0"] == r["tr_im"] == "" for r in rows[:3])
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+def test_below_the_reach_only_points_off_the_spectrum_converge_and_match_floquet(eps):
+    # Near a resonance of one of the squared sections the rounding of a squaring grows
+    # like 1/eps^2.  With no bound on the blocks this family (seed 5, L = 1, d = 2)
+    # converged at every lambda, 6.7e-7 off the Floquet W at 1e-8 and 1.8 off at 1e-10,
+    # at a W with Im W < 0.  Within 2^22 blocks only the lambda off the spectrum converge.
+    p = _periodic(np.random.default_rng(5), 1, 2)
+    s = max(np.linalg.norm(a, 2) for a in p.stack(1)[0])
+    spread = 2 * s + max(np.linalg.norm(b, 2) for b in p.stack(1)[1])
+    z = np.linspace(-1.1 * spread, 1.1 * spread, 15) + 1j * eps
+    w, converged = _half(p, z)
+    assert converged.any() and not converged.all()
+    assert _rel(w[converged], np.array([_floquet_w(p, x) for x in z[converged]])) <= BOUND

@@ -267,7 +267,7 @@ def _scan_one_call_per_sample(p, lambda_grid, eps_ladder, n_rule):
                     if not np.isfinite(w).all():
                         raise ArithmeticError("W is not finite: the Schur sweep overflowed")
                     if not converged[0]:
-                        raise ArithmeticError(f"W did not converge at z = {z!r} in 64 squarings")
+                        raise ArithmeticError(f"W did not converge at z = {z!r} within 4194304 blocks")
                     w = w[0]
             except (ArithmeticError, ValueError, IndexError) as exc:
                 errors.append(str(exc))
