@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, JacobiParams, _finite, make_family,
-                        validate_params)
+from .blockcore import (FAMILY_KNOBS, HORIZON_CAP, NUMERICAL_ERRORS, JacobiParams, _finite,
+                        make_family, validate_params)
 from .measure import DiscreteMatrixMeasure, cauchy_transform, quadrature_measure
 from .seminorms import SeminormKind
 from .solutions import _check_bad, _first_bad, _pq_start, _steps, compute_PQ
-from .subordinacy import DEFAULT_COND_CAP, ROW_ERRORS, _value, jl_function, nonsub_diagnostic
+from .subordinacy import DEFAULT_COND_CAP, _value, jl_function, nonsub_diagnostic
 from .transfer import _lo_defects, _nstep, _omega_residual, _step, transfer_step
 from .weyl import (DEFAULT_N_RULE_C, _check_ladder, _check_section, boundary_scan,
-                   default_n_rule, weyl_resolvent, weyl_schur)
+                   weyl_resolvent, weyl_schur)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -40,7 +40,9 @@ _TOP_KEYS = {  # "seed" is accepted for older configs and ignored
     "cap", "measure_in",
 }
 _LAMBDA_KEYS = ("min", "max", "steps")
-T_STEPS_CAP = 2 ** 12  # nonsub keeps G_t, cond and a row per t node and lambda: 88 MB at the cap
+LAMBDA_STEPS_CAP = 2 ** 12  # lambda points: jl's walk and nonsub's G_t are batched over them
+ROWS_CAP = 2 ** 18  # rows kept x max(2, d)^2, as a row holds a d x d W or 2d x 2d G_t: the rows
+# are lambda x |eps| (weyl-scan, report, jl) or lambda x t nodes (nonsub), 65 536 at d <= 2
 
 
 class ConfigError(ValueError):
@@ -105,7 +107,7 @@ def _row_errors(row: dict):
         yield
     except ConfigError:
         raise
-    except ROW_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         row["error"] = str(exc)
 
 
@@ -198,12 +200,17 @@ def parse_config(config: str | dict) -> RunConfig:
             raise ConfigError(f"{where} must be finite, got {x!r}")
     # cost bounds on the walks, located here; the block store enforces the same
     # integer cap, and G_t's floor(t) + 1 blocks exceed it iff t >= cap
-    if cfg.command in ("weyl-scan", "report"):
-        with _located("eps_ladder"):
-            default_n_rule(min(cfg.eps_ladder), cfg.n_rule_C)
-    if cfg.command == "nonsub" and cfg.t_grid[1] > T_STEPS_CAP:
-        raise ConfigError(f"t_grid: steps = {cfg.t_grid[1]} is above the cap of {T_STEPS_CAP} "
-                          "nodes")
+    if cfg.lambda_grid[2] > LAMBDA_STEPS_CAP:
+        raise ConfigError(f"lambda: steps = {cfg.lambda_grid[2]} is above the cap of "
+                          f"{LAMBDA_STEPS_CAP} points")
+    if cfg.command in ("weyl-scan", "report", "jl", "nonsub"):
+        key, what, per = (("t_grid", "steps", cfg.t_grid[1]) if cfg.command == "nonsub" else
+                          ("eps_ladder", "rungs", len(cfg.eps_ladder)))
+        cap = ROWS_CAP // max(2, cfg.family["d"]) ** 2
+        if (rows := cfg.lambda_grid[2] * per) > cap:
+            raise ConfigError(f"{key}: {what} = {per} at lambda.steps = {cfg.lambda_grid[2]} "
+                              f"keep {rows} rows, above the cap of {cap} rows at d = "
+                              f"{cfg.family['d']}")
     if cfg.command == "nonsub" and not np.all(np.diff(cfg.ts(), prepend=0.0) > 0):
         raise ConfigError(f"t_grid: max = {cfg.t_grid[0]!r}, steps = {cfg.t_grid[1]} do not give "
                           "positive, strictly increasing nodes")
@@ -321,14 +328,9 @@ def _cmd_weyl(cfg: RunConfig):
     return fields, [row]
 
 
-def _scan(cfg: RunConfig, p: JacobiParams):
-    return boundary_scan(p, cfg.lambdas(), np.array(cfg.eps_ladder),
-                         n_rule=functools.partial(default_n_rule, C=cfg.n_rule_C))
-
-
 def _cmd_weyl_scan(cfg: RunConfig):
     p = cfg.params()
-    scan = _scan(cfg, p)
+    scan = boundary_scan(p, cfg.lambdas(), cfg.eps_ladder, cfg.n_rule_C)
     fields = ["lambda", "eps", "tr_im", *_mat_cols("W", p.d), "label", "rank", "error"]
     rows = []
     for r in scan.rows:
@@ -428,7 +430,7 @@ def _cmd_nonsub(cfg: RunConfig):
 
 
 def _cmd_report(cfg: RunConfig):
-    scan = _scan(cfg, cfg.params())
+    scan = boundary_scan(cfg.params(), cfg.lambdas(), cfg.eps_ladder, cfg.n_rule_C)
     lams = scan.lambda_grid
     fields = ["kind", "lambda", "lambda_lo", "lambda_hi", "label", "rank", "note"]
     rows = []
@@ -486,7 +488,7 @@ def run(cfg: RunConfig) -> int:
         fields, rows = _DISPATCH[cfg.command](cfg)
     except ConfigError:
         raise
-    except ROW_ERRORS as exc:  # raised outside any row: the family cannot be run
+    except NUMERICAL_ERRORS as exc:  # raised outside any row: the family cannot be run
         raise ConfigError(f"family: {exc}") from exc
     if rows and all(r.get("error") for r in rows):
         status = 2

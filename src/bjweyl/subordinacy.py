@@ -34,14 +34,12 @@ __all__ = [
 
 HORIZON_START = 64
 WALK_SLAB = 2 ** 12  # the longest extension of the P/Q walk: it bounds the terms held at once
+WALK_ENTRIES = 2 ** 21  # an extension's most steps x open lams x d^2 entries: 64 MB of P and Q
 DEFAULT_COND_CAP = 1e3
 
 
-class HorizonExhausted(RuntimeError):
+class HorizonExhausted(ValueError):
     """The seminorm product stayed below its target up to the horizon cap."""
-
-
-ROW_ERRORS = (*NUMERICAL_ERRORS, HorizonExhausted)  # what a row records in place of a value
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,8 @@ def _pq_sq_nodes(p: JacobiParams, lams: np.ndarray, horizon: int, kind: Seminorm
                  targets: list) -> list:
     """Where the P/Q node product first reaches each target T, in one walk for all lams.
 
-    The walk takes HORIZON_START steps, then doubles (by at most WALK_SLAB steps at a time),
+    The walk takes HORIZON_START steps, then doubles (by at most WALK_SLAB steps, and
+    WALK_ENTRIES entries of P and Q over the lams still open, at a time),
     each extension continuing from the last two terms: one extension and its cumulative squared
     term functionals (pn, qn) are held at a time, and only those two terms while the next is
     built.  Per lam, one entry per T: the crossing segment (m, pn[m-1], pn[m], qn[m-1], qn[m]),
@@ -103,7 +102,8 @@ def _pq_sq_nodes(p: JacobiParams, lams: np.ndarray, horizon: int, kind: Seminorm
             return out
         live, last, ends = live[keep], cum[-1][:, keep], walk[-2:][:, :, keep]
         del walk, chunk, sq, cum, prod  # the next extension is built holding only ends
-        first, end = end, min(max(2 * end, HORIZON_START), end + WALK_SLAB, horizon)
+        slab = max(1, min(WALK_SLAB, WALK_ENTRIES // (len(live) * p.d ** 2)))
+        first, end = end, min(max(2 * end, HORIZON_START), end + slab, horizon)
         try:
             walk = _steps(p, lams[live], *ends, first, end)
         except NUMERICAL_ERRORS as exc:
@@ -116,7 +116,7 @@ def _outcome(f, *args):
     """f(*args), or the exception it raises: one row's result."""
     try:
         return f(*args)
-    except ROW_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         return exc
 
 

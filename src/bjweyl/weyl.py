@@ -7,7 +7,7 @@ N-block finite section: ``weyl_resolvent`` through a banded LU solve of
 sweep for every z and its own N.  They agree to rounding at equal N, which
 the test suite enforces as an exact algebraic identity.  ``boundary_scan``
 reads the W of the half-line operator on a family with a period
-(``_half_line``, no N), and sweeps one without a period at N = n_rule(eps).
+(``_half_line``, no N), and sweeps one without a period at N(eps).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .blockcore import (HORIZON_CAP, NUMERICAL_ERRORS, BlockMatSeq, JacobiParams,
                         check_cap, scaled_eye)
 from .solutions import MgevSolution
-from .subordinacy import gev_l2_dimension
 
 __all__ = [
     "FiniteSection",
@@ -32,7 +31,6 @@ __all__ = [
     "weyl_solution",
     "energy_identity_gap",
     "boundary_scan",
-    "gev_l2_dimension",
     "default_n_rule",
 ]
 
@@ -295,8 +293,8 @@ def weyl_solution(p: JacobiParams, z: complex, w: np.ndarray, n_max: int) -> Mge
     at least ``default_n_rule(|Im z|)`` blocks past n_max (its cap error bounds
     the cost), since near the spectrum the columns decay at a rate of order |Im z|.
     """
-    if z.imag == 0:
-        raise ValueError("the l2 solution needs Im z != 0")
+    if not 0 < abs(z.imag) < math.inf:  # NaN fails too
+        raise ValueError(f"the l2 solution needs a finite Im z != 0, got {z.imag!r}")
     try:
         pad = max(25, n_max // 2, default_n_rule(abs(z.imag)))
     except ValueError:
@@ -334,12 +332,19 @@ def energy_identity_gap(p: JacobiParams, z: complex, N: int, v) -> dict:
 
 
 def default_n_rule(eps: float, C: float = DEFAULT_N_RULE_C) -> int:
-    """Truncation size N(eps) = ceil(C/eps); ValueError if it exceeds
-    HORIZON_CAP, which is an integer, so ceil(C/eps) > cap iff C/eps > cap."""
-    n = float(C) / float(eps)
+    """Truncation size N(eps) = ceil(C/eps) in 1..HORIZON_CAP; ValueError unless C and eps
+    are positive and finite, or if C/eps > HORIZON_CAP (an integer, so iff ceil(C/eps) is)."""
+    n = _positive("C", C) / _positive("eps", eps)
     if n > HORIZON_CAP:
         raise ValueError(f"eps = {float(eps)!r} needs N above the cap of {HORIZON_CAP} blocks")
-    return max(1, math.ceil(n))
+    return max(1, math.ceil(n))  # C/eps may underflow to 0
+
+
+def _positive(name: str, x) -> float:
+    """x as a float; ValueError unless it is positive and finite (NaN is not)."""
+    if not 0 < (x := float(x)) < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
 
 
 def _check_ladder(eps_ladder) -> np.ndarray:
@@ -393,23 +398,25 @@ def _decide(tr_im, diffs, w_norm, sv, im_w) -> dict:
 
 
 def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
-                  n_rule=default_n_rule) -> BoundaryScan:
+                  n_rule_C: float = DEFAULT_N_RULE_C) -> BoundaryScan:
     """Scan Im W(lambda + i eps) down an eps ladder and classify each lambda.
 
     On a family with a period, W is the half-line's, from one ``_half_line``
-    call for the whole grid; n_rule is not called, and a point that did not
-    converge is its row error.  Without a period, each rung is checked on its
-    own first (N = n_rule(eps) an integer in 1..HORIZON_CAP, and the blocks its
-    sweep reads), then one ``_schur`` call gives W on the rungs that passed.
-    A point whose W or z is not finite is its row error, and an error of the
-    call itself (a bad block, a singular pivot or composition solve, ruled out
-    at Im z > 0 in exact arithmetic) every called point's.  The labels read
-    ``_ladder_stats`` of the whole grid.  A failed point is a row with its
+    call for the whole grid, and a point that did not converge is its row
+    error.  Without a period, each rung is checked on its own first (its
+    N = default_n_rule(eps, n_rule_C) within the cap, and the blocks its sweep
+    reads), then one ``_schur`` call gives W on the rungs that passed.
+    A ladder or n_rule_C that is not positive and finite raises before any
+    block is read.  A point whose W or z is not finite is its row error, and an
+    error of the call itself (a bad block, a singular pivot or composition solve,
+    ruled out at Im z > 0 in exact arithmetic) every called point's.  The labels
+    read ``_ladder_stats`` of the whole grid.  A failed point is a row with its
     error message rather than raised, and its lambda undecided with the first
     such message; rows are in grid order, deterministic.
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     eps_ladder = _check_ladder(eps_ladder)
+    _positive("n_rule_C", n_rule_C)
     z = np.empty((len(eps_ladder), len(lambda_grid)), dtype=complex)  # z[rung, lambda]
     z.real, z.imag = lambda_grid, eps_ladder[:, None]
     w = np.zeros(z.shape + (p.d, p.d), dtype=complex)
@@ -419,8 +426,7 @@ def boundary_scan(p: JacobiParams, lambda_grid, eps_ladder,
             rungs, ns = [], []  # the rungs that passed their checks, and their N
             for r, eps in enumerate(eps_ladder if len(lambda_grid) else ()):
                 try:
-                    n = n_rule(eps)
-                    _check_n(n)
+                    n = default_n_rule(eps, n_rule_C)
                     p.stack(n)
                 except NUMERICAL_ERRORS as exc:
                     errors[r], failed[r] = str(exc), True

@@ -28,7 +28,7 @@ from bjweyl.measure import (
 )
 from bjweyl.seminorms import SeminormKind, seminorm
 from bjweyl.solutions import compute_PQ, solve_nonhomogeneous
-from bjweyl.subordinacy import jl_function, nonsub_diagnostic
+from bjweyl.subordinacy import gev_l2_dimension, jl_function, nonsub_diagnostic
 from bjweyl.transfer import (
     lo_residual,
     omega_identity_residual,
@@ -38,7 +38,6 @@ from bjweyl.transfer import (
 from bjweyl.weyl import (
     boundary_scan,
     energy_identity_gap,
-    gev_l2_dimension,
     weyl_resolvent,
     weyl_schur,
 )

@@ -231,12 +231,13 @@ FREE = {"name": "free", "d": 1}
      "got 2 and 1"),
     ({"N": math.inf}, [], "N: cannot convert float infinity"),
     ({"family": {"name": "free", "d": math.inf}}, [], "family: cannot convert float infinity"),
-    ({"command": "weyl-scan", "eps_ladder": [1e-300]}, [],
-     "eps_ladder: eps = 1e-300 needs N above the cap"),
+    ({"command": "weyl-scan", "lambda": {"min": 0, "max": 1, "steps": 2 ** 12 + 1}}, [],
+     "lambda: steps = 4097 is above the cap of 4096 points"),
     ({"command": "nonsub", "t_grid": {"max": 1e12, "steps": 4}}, [],
      "t_grid: max = 1000000000000.0 is above the cap"),
-    ({"command": "report", "eps_ladder": [1e-320]}, [],
-     "eps_ladder: eps = 1e-320 needs N above the cap"),
+    ({"command": "report", "lambda": {"min": 0, "max": 1, "steps": 2 ** 12},
+      "eps_ladder": [2.0 ** -k for k in range(17)]}, [],
+     "eps_ladder: rungs = 17 at lambda.steps = 4096 keep 69632 rows, above the cap of 65536 rows"),
     ({"command": "nonsub", "t_grid": {"max": 2 ** 20, "steps": 4}}, [],
      "t_grid: max = 1048576.0 is above the cap"),
     ({"command": "weyl-scan", "n_rule_C": math.nan}, [], "tolerances and caps must be positive"),
@@ -257,10 +258,11 @@ FREE = {"name": "free", "d": 1}
      "t_grid: max = 1e-323, steps = 4 do not give"),
     ({"command": "nonsub", "t_grid": {"max": 0, "steps": 1}}, [],
      "t_grid: max = 0.0, steps = 1 do not give"),
-    ({"command": "nonsub", "t_grid": {"max": 10.0, "steps": 2 ** 12 + 1}}, [],
-     "t_grid: steps = 4097 is above the cap of 4096 nodes"),
+    ({"command": "nonsub", "lambda": {"min": 0, "max": 1, "steps": 17},
+      "t_grid": {"max": 10.0, "steps": 2 ** 12 + 1}}, [],
+     "t_grid: steps = 4097 at lambda.steps = 17 keep 69649 rows, above the cap of 65536 rows"),
     ({"command": "nonsub", "t_grid": {"max": 1e-323, "steps": 2 ** 40}}, [],
-     "t_grid: steps = 1099511627776 is above the cap of 4096 nodes"),
+     "t_grid: steps = 1099511627776 at lambda.steps = 9 keep 9895604649984 rows, above the cap"),
     ({"command": "weyl-scan", "n_rule_C": math.inf}, [], "n_rule_C must be finite, got inf"),
     ({"command": "nonsub", "cap": "inf"}, [], "cap must be finite, got inf"),
     # counts are JSON numbers with an integral value, not truncated or cast
@@ -275,6 +277,20 @@ FREE = {"name": "free", "d": 1}
     ({"command": "polys", "n_max": "3"}, [], "n_max: must be an integer, got '3'"),
     ({"command": "transfer-check", "k_max": False}, [], "k_max: must be an integer, got False"),
     ({"N": math.nan}, [], "N: cannot convert float NaN to integer"),
+    # the rows a command keeps, lambda x |eps| or lambda x t nodes, times max(2, d)^2
+    ({"command": "jl", "lambda": {"min": 0, "max": 1, "steps": 2 ** 12},
+      "eps_ladder": [2.0 ** -k for k in range(17)]}, [],
+     "eps_ladder: rungs = 17 at lambda.steps = 4096 keep 69632 rows, above the cap of 65536 rows"),
+    ({"command": "weyl-scan", "eps_ladder": [1.0 / k for k in range(1, 7283)]}, [],
+     "eps_ladder: rungs = 7282 at lambda.steps = 9 keep 65538 rows, above the cap of 65536 rows"),
+    ({"command": "weyl-scan", "family": {"name": "free", "d": 4},
+      "lambda": {"min": 0, "max": 1, "steps": 2 ** 12}}, [],
+     "eps_ladder: rungs = 5 at lambda.steps = 4096 keep 20480 rows, above the cap of 16384 rows "
+     "at d = 4"),
+    ({"command": "nonsub", "lambda": {"min": 0, "max": 1, "steps": 2 ** 12},
+      "t_grid": {"max": 10.0, "steps": 17}}, [],
+     "t_grid: steps = 17 at lambda.steps = 4096 keep 69632 rows, above the cap of 65536 rows"),
+    ({"command": "jl"}, ["--lambda-steps", "5000"], "lambda: steps = 5000 is above the cap"),
 ])
 def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, flags, where):
     path = write_config(tmp_path, **{"family": FREE, **config})
@@ -283,6 +299,21 @@ def test_malformed_config_is_a_located_config_error(tmp_path, capsys, config, fl
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and where in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, d, per", [("weyl-scan", 1, 16), ("report", 2, 16),
+                                             ("jl", 3, 7), ("nonsub", 4, 4)])
+def test_a_grid_at_the_row_cap_is_accepted_and_one_more_rung_or_node_is_not(command, d, per):
+    # 4096 lambdas x per rungs or t nodes x max(2, d)^2 reach 2^18 at d = 1, 2 and 4
+    for n, ok in ((per, True), (per + 1, False)):
+        config = {"family": {"name": "free", "d": d}, "command": command,
+                  "lambda": {"min": -3.0, "max": 3.0, "steps": 2 ** 12},
+                  "eps_ladder": [2.0 ** -k for k in range(n)], "t_grid": {"max": 8.0, "steps": n}}
+        if ok:
+            parse_config(config)
+        else:
+            with pytest.raises(ConfigError, match=f"above the cap of {2 ** 18 // max(2, d) ** 2} "):
+                parse_config(config)
 
 
 @pytest.mark.parametrize("command, written, count", [
@@ -478,6 +509,21 @@ def _run_quiet(tmp_path, capsys, **config):
         code = main(["--config", path, "--out", str(out)])
     assert capsys.readouterr().err == ""
     return code, read_rows(out)
+
+
+@pytest.mark.parametrize("command, eps, code", [("weyl-scan", 1e-300, 2), ("report", 1e-320, 0)],
+                         ids=["weyl-scan", "report"])
+def test_an_eps_once_below_the_ladder_gate_is_a_row_error(tmp_path, capsys, command, eps, code):
+    # N(eps) = ceil(50/eps) is far above the cap here, but free has a period and reads no
+    # N: each point is the half-line's, which does not converge in the band at such eps,
+    # or overflows
+    got, rows = _run_quiet(tmp_path, capsys, family=FREE, command=command, eps_ladder=[eps])
+    assert got == code
+    notes = [r["error" if command == "weyl-scan" else "note"] for r in rows]
+    assert len(notes) == (18 if command == "weyl-scan" else 9)
+    assert all(n == _NOT_FINITE or n.startswith("W did not converge at z = ")
+               and n.endswith(" within 4194304 blocks") for n in notes)
+    assert all(r["label"] == "undecided" for r in rows if not r.get("eps"))
 
 
 def test_an_overflowing_gram_matrix_is_a_row_error_of_its_lambda(tmp_path, capsys):

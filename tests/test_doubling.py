@@ -15,6 +15,7 @@ from bjweyl.blockcore import HORIZON_CAP, JacobiParams, make_family, scaled_eye
 from bjweyl.cli import main
 from bjweyl.weyl import boundary_scan, weyl_resolvent, weyl_schur
 from conftest import random_bounded_params
+from test_cli import _run_quiet
 
 BOUND = 1e-12  # half-line W against a closed form or a long sweep, and the sweep against
 # the resolvent: relative in norm
@@ -91,7 +92,8 @@ def test_every_rung_of_a_scan_like_ladder_is_doubled(rng, monkeypatch, d):
     p = make_family("diagonal", d, components=comps)
     grid, ladder = np.linspace(-2.5, 2.5, 21), [1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001]
     calls, rule = _spy(monkeypatch), []
-    scan = boundary_scan(p, grid, ladder, n_rule=lambda eps: rule.append(eps) or 1)
+    monkeypatch.setattr(weyl, "default_n_rule", lambda eps, C: rule.append(eps) or 1)
+    scan = boundary_scan(p, grid, ladder)
     assert calls == {"half_line": [21 * 7], "schur": []} and rule == []
     assert not any(r["error"] for r in scan.rows)
 
@@ -106,7 +108,7 @@ def test_a_family_without_a_period_is_swept(monkeypatch, p):
     z = np.linspace(-2, 2, 5) + 0.5j
     assert np.array_equal(weyl_schur(p, z, 800).W, _swept(p, z, 800))
     calls = _spy(monkeypatch)
-    scan = boundary_scan(p, z.real, [0.5, 0.1], n_rule=lambda eps: round(80 / eps))
+    scan = boundary_scan(p, z.real, [0.5, 0.1], n_rule_C=80.0)  # N = 160 and 800
     assert calls == {"half_line": [], "schur": [(2, 1)]}
     assert np.array_equal(scan.rows[1]["W"], _swept(p, np.array([-2 + 0.1j]), 800)[0])
 
@@ -263,11 +265,10 @@ def test_a_point_that_does_not_converge_is_a_named_row_error(tmp_path, capsys):
         warnings.simplefilter("error")
         scan = boundary_scan(p, [0.5, 3.0], [1e-20, 1e-21])
         assert list(_half(p, np.array([0.5 + 1e-20j, 3 + 1e-20j]))[1]) == [False, True]
-        # the CLI's floor on eps is the ladder check at n_rule_C, which a tiny C lowers
         cfg, out = tmp_path / "c.json", tmp_path / "s.csv"
         cfg.write_text(json.dumps({"family": {"name": "free", "d": 1}, "command": "weyl-scan",
                                    "lambda": {"min": 0.5, "max": 3.0, "steps": 2},
-                                   "eps_ladder": [1e-20, 1e-21], "n_rule_C": 1e-300}))
+                                   "eps_ladder": [1e-20, 1e-21]}))
         assert main(["--config", str(cfg), "--out", str(out)]) == 0
     assert [r["error"] for r in scan.rows] == [message.format("1e-20"), message.format("1e-21"),
                                                "", ""]
@@ -288,7 +289,7 @@ def test_an_eps_below_rounding_is_a_row_error_and_no_wrong_w(tmp_path, capsys):
     cfg, out = tmp_path / "c.json", tmp_path / "s.csv"
     cfg.write_text(json.dumps({"family": {"name": "free", "d": 1}, "command": "weyl-scan",
                                "lambda": {"min": 0.0, "max": 3.0, "steps": 2},
-                               "eps_ladder": ladder, "n_rule_C": 1e-320, "format": "json"}))
+                               "eps_ladder": ladder, "format": "json"}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scan = boundary_scan(p, [0.0, 3.0], ladder)
@@ -319,3 +320,55 @@ def test_below_the_reach_only_points_off_the_spectrum_converge_and_match_floquet
     w, converged = _half(p, z)
     assert converged.any() and not converged.all()
     assert _rel(w[converged], np.array([_floquet_w(p, x) for x in z[converged]])) <= BOUND
+
+
+def _cell_w(row):
+    return complex(float(row["re_W_0_0"]), float(row["im_W_0_0"]))
+
+
+def test_constant_a_0_1_reads_its_closed_form_below_the_old_eps_floor(tmp_path, capsys):
+    # N(1e-5) = 5e6 blocks is above the cap, a rule a family with a period never reads;
+    # the half-line reaches about 3e-5 max |A_n| = 3e-6
+    config = {"family": {"name": "constant", "d": 1, "A": [[0.1]], "B": [[0.0]]},
+              "lambda": {"min": -0.3, "max": 0.3, "steps": 21}, "eps_ladder": [1e-3, 1e-4, 1e-5]}
+    (scan_code, scan), (report_code, report) = (_run_quiet(tmp_path, capsys, **config, command=c)
+                                                for c in ("weyl-scan", "report"))
+    assert (scan_code, report_code) == (0, 0)
+    samples, labels = [r for r in scan if r["eps"]], [r for r in scan if not r["eps"]]
+    assert len(samples) == 63 and not any(r["error"] for r in scan)
+    for r in samples:
+        z = complex(float(r["lambda"]), float(r["eps"]))
+        assert abs(_cell_w(r) / _scalar_m(z, 0.1, 0.0) - 1) <= 1e-11
+    want = [("ac", "1") if abs(float(r["lambda"])) < 0.2 else ("outside", "0") for r in labels]
+    assert [(r["label"], r["rank"]) for r in labels] == want
+    points = [r for r in report if r["kind"] == "point"]
+    assert [(r["label"], r["rank"]) for r in points] == want and not any(r["note"] for r in points)
+
+
+def test_free_off_its_band_reads_its_closed_form_at_eps_1e_6(tmp_path, capsys):
+    code, rows = _run_quiet(tmp_path, capsys, family={"name": "free", "d": 1},
+                            command="weyl-scan", eps_ladder=[1e-5, 1e-6],
+                            **{"lambda": {"min": 3.0, "max": 3.0, "steps": 1}})
+    assert code == 0
+    assert [r["eps"] for r in rows] == ["1.0000000000000001e-05", "9.9999999999999995e-07", ""]
+    for r in rows[:2]:
+        z = complex(float(r["lambda"]), float(r["eps"]))
+        assert not r["error"] and abs(_cell_w(r) / _scalar_m(z, 1.0, 0.0) - 1) <= BOUND
+    assert rows[2]["label"] == "outside"
+
+
+def test_a_family_without_a_period_past_the_cap_is_a_row_error_of_each_rung(tmp_path, capsys):
+    # A_n = (n + 1)^-0.5: no period, so each rung is swept at N(eps) = ceil(50/eps), above
+    # the cap at both rungs; the rung's own check names it before any sweep
+    config = {"family": {"name": "periodic_modulated", "d": 1, "A_period": [[[1.0]]],
+                         "B_period": [[[0.0]]], "growth": -0.5}, "eps_ladder": [1e-5, 1e-6]}
+    (scan_code, scan), (report_code, report) = (_run_quiet(tmp_path, capsys, **config, command=c)
+                                                for c in ("weyl-scan", "report"))
+    assert (scan_code, report_code) == (2, 0)
+    capped = f"eps = {{}} needs N above the cap of {HORIZON_CAP} blocks"
+    samples = [r for r in scan if r["eps"]]
+    assert len(samples) == 18
+    assert [r["error"] for r in samples] == [capped.format(e) for e in ("1e-05", "1e-06")] * 9
+    assert all(r["re_W_0_0"] == r["tr_im"] == "" for r in samples)
+    points = [r for r in report if r["kind"] == "point"]
+    assert [(r["label"], r["note"]) for r in points] == [("undecided", capped.format("1e-05"))] * 9

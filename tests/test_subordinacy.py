@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bjweyl.blockcore import JacobiParams, make_family
+from bjweyl.blockcore import NUMERICAL_ERRORS, JacobiParams, make_family
 from bjweyl.seminorms import SeminormKind, seminorm, seminorm_nodes
 from bjweyl.solutions import compute_PQ, solve_forward
 from bjweyl.subordinacy import (
@@ -256,7 +256,7 @@ def _same_outcome(x, y):
 def _alone(f, *args):
     try:
         return f(*args)
-    except (ArithmeticError, ValueError, IndexError, HorizonExhausted) as exc:
+    except NUMERICAL_ERRORS as exc:  # HorizonExhausted is a ValueError
         return exc
 
 
@@ -477,3 +477,19 @@ def test_jl_holds_about_one_extension(monkeypatch):
     # singular values and their squares add a quarter and an eighth of it
     extension = (2 ** 10 + 2) * 2 * len(lams) * 4 * 16
     assert peak < 1.5 * extension
+
+
+def test_jl_extensions_are_bounded_by_entries_and_keep_every_sample(monkeypatch):
+    # WALK_ENTRIES bounds an extension's steps x open lams x d^2, so many lams walk in
+    # shorter extensions; each sample is bit-identical, as the sums run in the same order
+    import bjweyl.subordinacy as sub
+
+    p, lams, ladder = make_family("free", 2), np.linspace(-2.5, 2.5, 9), [0.1, 1e-3, 1e-4]
+    want = jl_function(p, lams, ladder)
+    extensions, steps = [], sub._steps
+    monkeypatch.setattr(sub, "_steps", lambda p, z, *a: extensions.append(
+        (len(z), a[-1] - a[-2])) or steps(p, z, *a))
+    monkeypatch.setattr(sub, "WALK_ENTRIES", 2 ** 12)
+    assert jl_function(p, lams, ladder) == want
+    assert all(n <= 2 ** 12 // (k * p.d ** 2) for k, n in extensions)
+    assert (7, 2 ** 12 // (7 * 4)) in extensions  # 146 steps while 7 lams are open

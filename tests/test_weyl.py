@@ -12,17 +12,17 @@ from bjweyl.cli import RunConfig, run
 from bjweyl.measure import quadrature_measure
 from bjweyl.solutions import columns_as_gev_check, compute_PQ, decompose
 from bjweyl.weyl import (
+    DEFAULT_N_RULE_C,
     RANK_REL,
     boundary_scan,
     default_n_rule,
     energy_identity_gap,
     finite_section,
-    gev_l2_dimension,
     weyl_resolvent,
     weyl_schur,
     weyl_solution,
 )
-from bjweyl.subordinacy import gram_nodes
+from bjweyl.subordinacy import gev_l2_dimension, gram_nodes
 from conftest import random_bounded_params
 
 FREE_W_2I = 1j * (math.sqrt(2.0) - 1.0)
@@ -140,7 +140,7 @@ def test_boundary_scan_diagonal_rank_two():
 def test_boundary_scan_records_rungs_past_a_short_family():
     p = make_family("explicit", 1, A=[[[1.0]]] * 3, B=[[[0.0]]] * 3)
     # N(1.0) = 3 fits the three listed blocks, N(0.5) = 6 does not
-    scan = boundary_scan(p, [-0.5, 0.5], [1.0, 0.5], n_rule=lambda eps: round(3 / eps))
+    scan = boundary_scan(p, [-0.5, 0.5], [1.0, 0.5], n_rule_C=3.0)
     assert [r["error"] == "" for r in scan.rows] == [True, False, True, False]
     assert all("beyond its 3 listed blocks" in r["error"] and r["W"] is None
                for r in scan.rows[1::2])
@@ -162,6 +162,21 @@ def test_boundary_scan_rejects_bad_ladder():
 def test_default_n_rule():
     assert default_n_rule(1e-2) == 5000
     assert default_n_rule(10.0) == 5
+
+
+@pytest.mark.parametrize("C", [-5.0, 0.0, math.nan, math.inf])
+def test_a_rule_constant_that_is_not_positive_and_finite_raises_before_any_block(C):
+    # N = 1 for C = -5 would sweep one block of free and read W = 2i at z = 0.5i,
+    # where W is 0.78i, with no error
+    p = _period_less(make_family("free", 1))
+    with pytest.raises(ValueError, match=f"^C must be positive and finite, got {C!r}$"):
+        default_n_rule(0.1, C)
+    for family in (p, make_family("free", 1)):  # with a period too, though it reads no N
+        with pytest.raises(ValueError, match=f"^n_rule_C must be positive and finite, got {C!r}$"):
+            boundary_scan(family, [0.0], [0.5, 0.1], n_rule_C=C)
+    assert p._n == 0  # raised before any block was read
+    with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {C!r}$"):
+        default_n_rule(C)
 
 
 def test_gev_l2_dimension_free():
@@ -250,10 +265,10 @@ def _classify(ws: list, tr_im: list) -> dict:
     return {"label": "outside", "rank": 0, "density": None}
 
 
-def _scan_one_call_per_sample(p, lambda_grid, eps_ladder, n_rule):
+def _scan_one_call_per_sample(p, lambda_grid, eps_ladder, n_rule_C):
     """boundary_scan's rows and classification from one call per (lambda, eps):
     ``_half_line`` at that z alone on a family with a period, else a scalar
-    weyl_schur call at N = n_rule(eps)."""
+    weyl_schur call at N = default_n_rule(eps, n_rule_C)."""
     rows, classification = [], []
     for lam in lambda_grid:
         ws, tr_im, errors = [], [], []
@@ -261,7 +276,7 @@ def _scan_one_call_per_sample(p, lambda_grid, eps_ladder, n_rule):
             z = complex(lam, eps)
             try:
                 if p.period is None:
-                    w = weyl_schur(p, z, n_rule(eps)).W
+                    w = weyl_schur(p, z, default_n_rule(eps, n_rule_C)).W
                 else:
                     w, converged = bjweyl.weyl._half_line(p, z * np.eye(p.d)[None])
                     if not np.isfinite(w).all():
@@ -303,28 +318,27 @@ def _period_less(p):
 
 
 @pytest.mark.parametrize("case", ["short_explicit", "random_d1", "random_d2", "random_d3",
-                                  "free", "constant_a5", "readme_diagonal", "zero_rung",
+                                  "free", "constant_a5", "readme_diagonal", "capped_rung",
                                   "periodic_bad_block", "sing_candidate", "undecided_a20",
                                   "outside_rank_0"])
 def test_boundary_scan_equals_one_schur_call_per_sample(rng, monkeypatch, case):
-    grid, ladder, n_rule, failed = np.linspace(-2, 2, 9), [0.1, 0.03, 0.01, 0.003], \
-        default_n_rule, set()  # failed: the rungs that fail their own check
+    grid, ladder, n_rule_C, failed = np.linspace(-2, 2, 9), [0.1, 0.03, 0.01, 0.003], \
+        DEFAULT_N_RULE_C, set()  # failed: the rungs that fail their own check
     if case == "short_explicit":  # the deepest two rungs need more than the 3 listed blocks
         p = make_family("explicit", 1, A=[[[1.0]]] * 3, B=[[[0.0]]] * 3)
-        grid, ladder, n_rule = np.linspace(-2, 2, 5), [1.0, 0.5, 0.25], lambda eps: round(3 / eps)
+        grid, ladder, n_rule_C = np.linspace(-2, 2, 5), [1.0, 0.5, 0.25], 3.0
         failed = {1, 2}
     elif case.startswith("random"):  # 96 random blocks: N = 80 fits, the last rung's N = 200 does not
         p = random_bounded_params(rng, int(case[-1]))
         grid, ladder = np.linspace(-3, 3, 7), [0.5, 0.2, 0.1, 0.05, 0.02]
-        n_rule, failed = lambda eps: math.ceil(4 / eps), {4}
-    elif case == "free":  # the half-line at every rung, whatever the rule says
-        p, ladder = make_family("free", 1), [5.0, 1.0, 0.3, 0.1, 0.03]
-        n_rule = lambda eps: math.ceil((10 if eps > 0.5 else 50) / eps)
+        n_rule_C, failed = 4.0, {4}
+    elif case == "free":  # the half-line at every rung, whatever the rule would say
+        p, ladder, n_rule_C = make_family("free", 1), [5.0, 1.0, 0.3, 0.1, 0.03], 1e9
     elif case == "constant_a5":  # the half-line: no N(eps) too short for ||A|| = 5
         p, grid = make_family("constant", 1, A=[[5.0]], B=[[0.0]]), np.linspace(-12, 12, 9)
-    elif case == "zero_rung":  # N = 0 fails the second rung's check, and only that rung
+    elif case == "capped_rung":  # N(1e-9) = 5e9 is above the cap: that rung fails, and only it
         p = _period_less(make_family("diagonal", 2, components=_README))
-        n_rule, failed = lambda eps: 0 if eps == 0.03 else default_n_rule(eps), {1}
+        ladder, n_rule_C, failed = [0.5, 0.1, 1e-9], 5.0, {2}
     elif case == "periodic_bad_block":  # B_2 is not Hermitian: every point of the half-line
         eye, zero = np.eye(2), np.zeros((2, 2))
         p = make_family("periodic_modulated", 2, A_period=[eye] * 3,
@@ -332,24 +346,23 @@ def test_boundary_scan_equals_one_schur_call_per_sample(rng, monkeypatch, case):
         grid, ladder = np.linspace(-1, 1, 3), [50.0, 30.0, 1.0]
     elif case == "sing_candidate":  # B_0 = 5I: an eigenvalue at 5.2, tr Im W 19.2 to 1920
         p = JacobiParams(2, lambda n: (np.eye(2), 5.0 * np.eye(2) if n == 0 else np.zeros((2, 2))))
-        grid, ladder = np.array([5.2]), [0.1, 0.03, 0.01, 0.003, 0.001]
-        n_rule = lambda eps: math.ceil(5 / eps)
+        grid, ladder, n_rule_C = np.array([5.2]), [0.1, 0.03, 0.01, 0.003, 0.001], 5.0
     elif case == "undecided_a20":  # no period: N(eps) is short for a = 20, W does not contract
         p = _period_less(make_family("constant", 1, A=[[20.0]], B=[[0.0]]))
         grid = np.array([0.0, 10.0])
     elif case == "outside_rank_0":  # tr Im W 1.03e-8, then 9.28e-9: no vanishing, no rank
         p, grid, ladder = _period_less(make_family("free", 1)), np.array([10.0]), [1e-6, 9e-7]
-        n_rule = lambda eps: 50
+        n_rule_C = 5e-5  # N = 50 and 56
     else:
         p = make_family("diagonal", 2, components=_README)
     if case == "periodic_bad_block":
         failed = set(range(len(ladder)))
-    rows, classification = _scan_one_call_per_sample(p, grid, ladder, n_rule)
+    rows, classification = _scan_one_call_per_sample(p, grid, ladder, n_rule_C)
     calls = []  # the scan's calls of the W stack behind weyl_schur, or of the half-line
     sweep, half = bjweyl.weyl._schur, bjweyl.weyl._half_line
     monkeypatch.setattr(bjweyl.weyl, "_schur", lambda *a: calls.append(np.shape(a[1])) or sweep(*a))
     monkeypatch.setattr(bjweyl.weyl, "_half_line", lambda *a: calls.append(len(a[1])) or half(*a))
-    scan = boundary_scan(p, grid, ladder, n_rule=n_rule)
+    scan = boundary_scan(p, grid, ladder, n_rule_C)
     got = [(r["lambda"], r["eps"], r["W"], r["tr_im"], r["error"]) for r in scan.rows]
     assert len(got) == len(rows) == len(grid) * len(ladder)
     assert all(_same(x, y) for g, r in zip(got, rows) for x, y in zip(g, r))
@@ -373,10 +386,11 @@ def test_a_failed_schur_call_is_every_called_point_s_error(monkeypatch):
         raise np.linalg.LinAlgError(message)
 
     monkeypatch.setattr(bjweyl.weyl, "_schur", singular)
-    scan = boundary_scan(_period_less(make_family("free", 1)), [-1.0, 0.0, 1.0], [0.5, 0.2, 0.1],
-                         n_rule=lambda eps: 0 if eps == 0.2 else 10)
-    assert calls == [(2, 3)]  # rungs 0 and 2; rung 1 failed its own check
-    assert [r["error"] for r in scan.rows] == [message, "N must be >= 1", message] * 3
+    scan = boundary_scan(_period_less(make_family("free", 1)), [-1.0, 0.0, 1.0], [0.5, 0.2, 1e-9],
+                         n_rule_C=1.0)
+    assert calls == [(2, 3)]  # rungs 0 and 1; rung 2 failed its own check
+    capped = f"eps = 1e-09 needs N above the cap of {HORIZON_CAP} blocks"
+    assert [r["error"] for r in scan.rows] == [message, message, capped] * 3
     assert all(r["W"] is None and math.isnan(r["tr_im"]) for r in scan.rows)
     assert scan.classification == [{"label": "undecided", "rank": None, "density": None,
                                      "error": message}] * 3
@@ -516,24 +530,10 @@ def test_weyl_solution_names_im_z_when_the_pad_passes_the_cap():
     with pytest.raises(ValueError, match=rf"^Im z = 1e-05 needs a section above the cap of "
                                          rf"{HORIZON_CAP} blocks$"):
         weyl_solution(p, 0.3 + 1e-5j, np.eye(1), 40)
-
-
-@pytest.mark.parametrize("family", [  # without a period: a family with one reads no rule
-    _period_less(make_family("free", 1)),
-    make_family("explicit", 1, A=[[[1.0]]] * 400, B=[[[0.0]]] * 400),
-])
-def test_a_non_integer_n_from_the_rule_is_its_rung_s_error(family):
-    # 5 / 0.03 = 166.67 blocks: neither truncated to 166 nor a bare TypeError
-    ladder = [0.1, 0.05, 0.03]
-    scan = boundary_scan(family, [-0.5, 0.5], ladder,
-                         n_rule=lambda eps: 5 / eps if eps < 0.04 else int(5 / eps))
-    want = boundary_scan(family, [-0.5, 0.5], ladder[:2], n_rule=lambda eps: int(5 / eps))
-    message = f"N must be an integer, got {5 / 0.03!r}"
-    assert [r["error"] for r in scan.rows] == ["", "", message] * 2
-    for got, row in zip([r for r in scan.rows if not r["error"]], want.rows):
-        assert np.array_equal(got["W"], row["W"])
-    assert scan.classification == [{"label": "undecided", "rank": None, "density": None,
-                                     "error": message}] * 2
+    for im in (0.0, math.inf, math.nan):  # not a cap error: no section is asked for
+        with pytest.raises(ValueError, match=rf"^the l2 solution needs a finite Im z != 0, "
+                                             rf"got {im!r}$"):
+            weyl_solution(p, complex(0.3, im), np.eye(1), 40)
 
 
 def test_weyl_schur_rejects_a_non_integer_n():
